@@ -22,8 +22,9 @@ Two samplers are provided:
   boundary field eta_i + w_vi for the neighbors i of v, so eliminating
   vertices one at a time and sampling the reciprocal-inverse-Gaussian
   conditionals in reverse order is an exact one-pass scheme for any finite
-  graph.  Paths get an O(n)-per-sample recursion; general graphs a
-  Green-matrix bordering scheme, both vectorized across samples.
+  graph.  One banded bordering sampler runs it, vectorized across samples,
+  in O(n b^2) per sample with b the largest index gap of an edge (b = 1 on
+  a path).
 * :func:`sample_field` / :func:`gibbs_sweep` — Markov chain with exact
   single-site conditionals and a rank-one-maintained Green matrix, kept for
   cross-validation and conditional-law diagnostics.
@@ -37,7 +38,6 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.linalg import eigh_tridiagonal  # noqa: F401  (re-exported convenience for tests)
 
 from .graphs import DENSE_MAX, WeightedGraph
 from .rig import sample_rig
@@ -319,79 +319,78 @@ def gibbs_chain(
 # ---------------------------------------------------------------------------
 
 
-def _sample_path_batch(g: WeightedGraph, n_samples: int, rng: np.random.Generator) -> np.ndarray:
-    """Exact draws on a path graph: O(n) recursion per sample, vectorized.
+def _band_plan(g: WeightedGraph):
+    """Tables for :func:`_sample_band_batch`, vectorized over edges.
 
-    Vertices are eliminated left to right, so sampling runs right to left.
-    Maintains, for the already-sampled suffix, the corner Green entry
-    g_run = G_suffix(k+1, k+1) and the boundary solve t_run =
-    (G_suffix eta_suffix)(k+1); both update in O(1) per step because the
-    suffix corner Schur complement equals the y just drawn.
+    Returns (b, nbrs, f, c, has_c): the bandwidth b = max(j - i) over the
+    edges (1 if none); per vertex k, its forward neighbors as (window slot
+    j - k - 1, weight) pairs, with one of weight 0 standing in for none;
+    f[k] = eta_k + sum_{m<k} w_mk; and c[k, i] = sum_{m<k} w_{m,k+1+i}.
     """
     n = g.n_vertices
-    eta = g.eta
-    w = g.weights  # edge k is (k, k+1)
-    beta = np.empty((n_samples, n))
-    g_run = np.zeros(n_samples)
-    t_run = np.zeros(n_samples)
-    for k in range(n - 1, -1, -1):
-        eta_a = eta[k] + (w[k - 1] if k >= 1 else 0.0)
-        if k == n - 1:
-            s_term = 0.0
-            a = np.full(n_samples, eta_a)
-        else:
-            s_term = (w[k] * w[k]) * g_run
-            a = eta_a + w[k] * t_run
-        y = sample_rig(a, rng)
-        beta[:, k] = 0.5 * (y + s_term)
-        if k > 0:
-            t_run = (eta[k] + (w[k] * t_run if k < n - 1 else 0.0)) / y
-            g_run = 1.0 / y
-    return beta
+    lo, hi = g.edges[:, 0], g.edges[:, 1]
+    span = hi - lo
+    b = int(span.max()) if span.size else 1
+    f = (g.eta + np.bincount(hi, weights=g.weights, minlength=n)).tolist()
+    # edge (m, j) adds w_mj to c[k, j - k - 1] for every m < k < j
+    reps = span - 1
+    e = np.repeat(np.arange(span.size), reps)
+    k = lo[e] + 1 + np.arange(e.size) - np.repeat(np.cumsum(reps) - reps, reps)
+    c = np.bincount(k * b + hi[e] - k - 1, weights=g.weights[e], minlength=n * b).reshape(n, b)
+    pairs = list(zip((span - 1).tolist(), g.weights.tolist()))
+    starts = np.searchsorted(lo, np.arange(n + 1)).tolist()
+    nbrs = [pairs[starts[v] : starts[v + 1]] or [(0, 0.0)] for v in range(n)]
+    return b, nbrs, f, c, c.any(axis=1).tolist()
 
 
-def _sample_general_batch(
-    g: WeightedGraph, n_samples: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Exact draws on an arbitrary graph via Green-matrix bordering.
+def _forward_sum(rows: np.ndarray, nbrs, out=None) -> np.ndarray:
+    """Sum of w * rows[i] over the (i, w) pairs in nbrs."""
+    (i, w), *rest = nbrs
+    out = np.multiply(rows[i], w, out=out)
+    for i, w in rest:
+        out += w * rows[i]
+    return out
 
-    Sampling vertex k (all higher-indexed vertices already drawn) needs the
-    suffix Green block: the Schur term is w_k' G w_k and the conditional
-    parameter adds w_k' G eta_eff, where eta_eff accumulates the weights of
-    the already-eliminated (lower-indexed) vertices.  After drawing y, the
-    block grows by the bordering identity with pivot 1/y.
+
+def _sample_band_batch(g: WeightedGraph, plan, n_samples: int, rng: np.random.Generator) -> np.ndarray:
+    """Exact draws by banded bordering: O(b^2) work per vertex, vectorized.
+
+    Vertices are eliminated in index order, so sampling runs from n-1 down.
+    Every neighbor j > k of vertex k lies in the window k+1 .. k+b, so each
+    sample carries only the window block ``green`` of the suffix Green
+    matrix G_{>k} and the window part ``t`` of G_{>k} eta.  With u = green
+    w_k, the Schur term is w_k'u and the conditional parameter
+    a_k = f_k + w_k't + u'c_k is a sum of nonnegative terms (G_{>k} is
+    entrywise nonnegative), so it never cancels below zero.  After drawing
+    y the window gains vertex k by bordering with pivot 1/y and drops
+    vertex k+b.  At b = 1 this is the O(n) path recursion.
     """
-    n = g.n_vertices
-    if n > DENSE_MAX:
-        raise ValueError(f"general exact sampler refused for n={n} > {DENSE_MAX}")
-    wmat = g.weight_matrix()
-    # eta_eff[k] = eta + sum of weight rows of vertices < k
-    eta_eff = np.empty((n, n))
-    acc = g.eta.astype(float).copy()
-    for k in range(n):
-        eta_eff[k] = acc
-        acc += wmat[k]
-    beta = np.empty((n_samples, n))
-    green = np.zeros((n_samples, n, n))
-    for k in range(n - 1, -1, -1):
-        if k == n - 1:
-            a = np.full(n_samples, eta_eff[k, k])
-            s_term = 0.0
-            u = None
-        else:
-            wk = wmat[k, k + 1 :]
-            u = green[:, k + 1 :, k + 1 :] @ wk
-            s_term = u @ wk
-            a = eta_eff[k, k] + u @ eta_eff[k, k + 1 :]
+    b, nbrs, f, c, has_c = plan
+    eta = g.eta.tolist()
+    beta = np.empty((n_samples, g.n_vertices))
+    # samples on the last axis: every per-vertex step works on contiguous rows
+    green, green_next = np.zeros((2, b, b, n_samples))
+    t, t_next = np.zeros((2, b, n_samples))
+    # r = [1, u_0 .. u_{b-2}] borders the shifted window: new block = shift + r r'/y
+    ubuf = np.ones((b + 1, n_samples))
+    u, r = ubuf[1:], ubuf[:-1]
+    for k in range(g.n_vertices - 1, -1, -1):
+        _forward_sum(green, nbrs[k], out=u)
+        wt = _forward_sum(t, nbrs[k])
+        a = f[k] + wt
+        if has_c[k]:
+            a += c[k] @ u
         y = sample_rig(a, rng)
-        beta[:, k] = 0.5 * (y + s_term)
-        piv = 1.0 / y
-        green[:, k, k] = piv
-        if u is not None:
-            pu = piv[:, None] * u
-            green[:, k, k + 1 :] = pu
-            green[:, k + 1 :, k] = pu
-            green[:, k + 1 :, k + 1 :] += pu[:, :, None] * u[:, None, :]
+        np.add(y, _forward_sum(u, nbrs[k]), out=beta[:, k])
+        ry = r / y
+        np.multiply(ry[:, None], r[None], out=green_next)
+        np.multiply(ry, eta[k] + wt, out=t_next)
+        if b > 1:
+            green_next[1:, 1:] += green[:-1, :-1]
+            t_next[1:] += t[:-1]
+        green, green_next = green_next, green
+        t, t_next = t_next, t
+    beta *= 0.5
     return beta
 
 
@@ -405,22 +404,13 @@ def sample_beta_batch(g: WeightedGraph, n_samples: int, rng: np.random.Generator
         raise ValueError("empty graph")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    n = g.n_vertices
-    if g.is_path:
-        chunk = max(1, BATCH_SCALARS // max(n, 1))
-        sampler = _sample_path_batch
-    else:
-        chunk = max(1, BATCH_SCALARS // max(n * n, 1))
-        sampler = _sample_general_batch
-    if n_samples <= chunk:
-        return sampler(g, n_samples, rng)
-    parts = []
-    left = n_samples
-    while left > 0:
-        b = min(chunk, left)
-        parts.append(sampler(g, b, rng))
-        left -= b
-    return np.concatenate(parts, axis=0)
+    plan = _band_plan(g)
+    chunk = max(1, BATCH_SCALARS // max(g.n_vertices, plan[0] ** 2))
+    parts = [
+        _sample_band_batch(g, plan, min(chunk, n_samples - start), rng)
+        for start in range(0, n_samples, chunk)
+    ]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def exact_field(g: WeightedGraph, rng: np.random.Generator, provenance: str = "exact") -> BetaField:

@@ -2,10 +2,10 @@
 
 Every estimator follows the same protocol: draw fields chain by chain (exact
 sampler by default, Gibbs on request), evaluate a per-sample statistic vector
-in fixed-size slices, and reduce (sum, sum of squares) in chain order.  The
-slice sizes are fixed functions of the graph size, so a rerun with the same
-configuration and seed reproduces every draw — and therefore every report —
-bit for bit, regardless of worker count.
+in fixed-size slices, and reduce (count, sum, centred sum of squares) in
+slice and chain order.  The slice sizes are fixed functions of the graph
+size, so a rerun with the same configuration and seed reproduces every
+draw — and therefore every report — bit for bit, regardless of worker count.
 
 Audits compare estimates against closed-form bounds with a uniform 3-standard
 -error slack and never mutate the underlying data.
@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -183,15 +184,16 @@ def _run_chains(g: WeightedGraph, cfg: MonteCarloConfig, eval_slice, k: int, den
     eval_slice maps a (b, n) beta slice to a (b, k) statistic array.
     """
     sizes = _chain_sizes(cfg.n_samples, cfg.chains)
+    empty = (0, np.zeros(k), np.zeros(k))
 
     def one_chain(chain: int):
-        s = np.zeros(k)
-        s2 = np.zeros(k)
+        acc = empty
         for block in _iter_chain_slices(g, cfg, chain, sizes[chain], dense):
             vals = eval_slice(block)
-            s += vals.sum(axis=0)
-            s2 += (vals * vals).sum(axis=0)
-        return s, s2
+            s = vals.sum(axis=0)
+            centred = vals - s / vals.shape[0]
+            acc = _merge_moments(acc, (vals.shape[0], s, (centred * centred).sum(axis=0)))
+        return acc
 
     if cfg.workers > 1 and cfg.chains > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
@@ -199,19 +201,26 @@ def _run_chains(g: WeightedGraph, cfg: MonteCarloConfig, eval_slice, k: int, den
     else:
         parts = [one_chain(c) for c in range(cfg.chains)]
 
-    total = np.zeros(k)
-    total2 = np.zeros(k)
-    for s, s2 in parts:
-        total += s
-        total2 += s2
-    n = cfg.n_samples
+    n, total, m2 = reduce(_merge_moments, parts, empty)
     mean = total / n
-    if n > 1:
-        var = np.maximum(total2 / n - mean * mean, 0.0) * n / (n - 1)
-        se = np.sqrt(var / n)
-    else:
-        se = np.zeros(k)
+    se = np.sqrt(m2 / (n - 1) / n) if n > 1 else np.zeros(k)
     return mean, se, n
+
+
+def _merge_moments(a, b):
+    """Chan-Golub-LeVeque (1983) pairwise update of (count, sum, M2).
+
+    M2 is the sum of squared deviations from the mean, so a nearly constant
+    statistic keeps the significant digits of its variance.
+    """
+    (na, sa, m2a), (nb, sb, m2b) = a, b
+    if na == 0:
+        return b
+    if nb == 0:
+        return a
+    n = na + nb
+    d = sa / na - sb / nb
+    return n, sa + sb, m2a + m2b + d * d * (na * nb / n)
 
 
 def _collect_values(g: WeightedGraph, cfg: MonteCarloConfig, eval_slice, dense: bool) -> np.ndarray:

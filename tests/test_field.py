@@ -20,7 +20,6 @@ from rsolab.field import (
     PositivityLossError,
     QuadratureBudgetError,
     SamplerConfig,
-    _sample_general_batch,
     exact_field,
     fresh_green,
     gibbs_chain,
@@ -31,8 +30,8 @@ from rsolab.field import (
     sample_beta_batch,
     sample_field,
 )
-from rsolab.graphs import WeightedGraph, build_box, build_grid
-from rsolab.rig import rig_cdf
+from rsolab.graphs import DENSE_MAX, WeightedGraph, attach_delta, build_box, build_grid
+from rsolab.rig import rig_cdf, sample_rig
 from rsolab.rng import philox_stream
 
 
@@ -42,6 +41,67 @@ def single_vertex(eta: float) -> WeightedGraph:
 
 def two_path(w: float, eta=(0.0, 0.0)) -> WeightedGraph:
     return WeightedGraph(2, np.array([[0, 1]]), np.array([w]), np.array(eta))
+
+
+# Frozen copies of the two exact samplers that the banded sampler replaced:
+# an O(n) path recursion and a dense O(n^3) Green-matrix bordering.  They are
+# the references the banded sampler is held to on the same random stream.
+
+
+def _reference_path_batch(g: WeightedGraph, n_samples: int, rng) -> np.ndarray:
+    n = g.n_vertices
+    eta = g.eta
+    w = g.weights  # edge k is (k, k+1)
+    beta = np.empty((n_samples, n))
+    g_run = np.zeros(n_samples)
+    t_run = np.zeros(n_samples)
+    for k in range(n - 1, -1, -1):
+        eta_a = eta[k] + (w[k - 1] if k >= 1 else 0.0)
+        if k == n - 1:
+            s_term = 0.0
+            a = np.full(n_samples, eta_a)
+        else:
+            s_term = (w[k] * w[k]) * g_run
+            a = eta_a + w[k] * t_run
+        y = sample_rig(a, rng)
+        beta[:, k] = 0.5 * (y + s_term)
+        if k > 0:
+            t_run = (eta[k] + (w[k] * t_run if k < n - 1 else 0.0)) / y
+            g_run = 1.0 / y
+    return beta
+
+
+def _reference_general_batch(g: WeightedGraph, n_samples: int, rng) -> np.ndarray:
+    n = g.n_vertices
+    wmat = g.weight_matrix()
+    # eta_eff[k] = eta + sum of weight rows of vertices < k
+    eta_eff = np.empty((n, n))
+    acc = g.eta.astype(float).copy()
+    for k in range(n):
+        eta_eff[k] = acc
+        acc += wmat[k]
+    beta = np.empty((n_samples, n))
+    green = np.zeros((n_samples, n, n))
+    for k in range(n - 1, -1, -1):
+        if k == n - 1:
+            a = np.full(n_samples, eta_eff[k, k])
+            s_term = 0.0
+            u = None
+        else:
+            wk = wmat[k, k + 1 :]
+            u = green[:, k + 1 :, k + 1 :] @ wk
+            s_term = u @ wk
+            a = eta_eff[k, k] + u @ eta_eff[k, k + 1 :]
+        y = sample_rig(a, rng)
+        beta[:, k] = 0.5 * (y + s_term)
+        piv = 1.0 / y
+        green[:, k, k] = piv
+        if u is not None:
+            pu = piv[:, None] * u
+            green[:, k, k + 1 :] = pu
+            green[:, k + 1 :, k] = pu
+            green[:, k + 1 :, k + 1 :] += pu[:, :, None] * u[:, None, :]
+    return beta
 
 
 class TestLogDensity:
@@ -169,16 +229,50 @@ class TestExactSampler:
         stat = kstest(betas, lambda t: gammainc(0.5, t)).statistic
         assert stat < 2.0 / math.sqrt(betas.size)
 
-    def test_path_and_general_sampler_agree_in_law(self):
-        # force the bordering sampler onto a path graph and compare samples
-        # against the specialized path recursion by two-sample KS per vertex
-        from scipy.stats import ks_2samp
+    @pytest.mark.parametrize(
+        "g",
+        [
+            single_vertex(0.6),
+            WeightedGraph(
+                4, np.array([[0, 1], [1, 2], [2, 3]]), np.array([0.5, 1.5, 0.8]),
+                np.array([0.3, 0.0, 1.2, 0.4]),
+            ),
+            build_grid((4,), 0.75, boundary="wired"),
+            build_grid((3, 4), 1.0, boundary="zero"),
+            build_grid((3, 3), 1.0, boundary="wired"),
+            build_box(3, 1, 0.9, boundary="wired"),
+            attach_delta(build_grid((3, 3), 0.7, boundary="wired")),
+        ],
+        ids=["vertex", "path-eta", "path-wired", "grid-zero", "grid-wired", "box-d3", "ghost"],
+    )
+    def test_matches_frozen_reference_samplers(self, g):
+        # same Philox stream, so the draws agree up to round-off; the zero
+        # boundary grid is where a subtracted conditional parameter would
+        # cancel below zero, and the ghost vertex makes the band b = n - 1
+        new = sample_beta_batch(g, 300, philox_stream(61))
+        refs = [_reference_general_batch]
+        if g.is_path:
+            refs.append(_reference_path_batch)
+        for ref in refs:
+            old = ref(g, 300, philox_stream(61))
+            assert np.max(np.abs(new - old) / old) <= 1e-12
 
-        g = build_grid((4,), 0.75, boundary="wired")
-        a = sample_beta_batch(g, 40_000, philox_stream(41))
-        b = _sample_general_batch(g, 40_000, philox_stream(42))
-        for v in range(g.n_vertices):
-            assert ks_2samp(a[:, v], b[:, v]).pvalue > 1e-4
+    def test_samples_beyond_the_dense_limit(self):
+        # a 2100 x 2 ladder has n = 4200 > DENSE_MAX but bandwidth 2; its
+        # operator is checked positive definite in banded storage
+        from scipy.linalg import cholesky_banded
+
+        g = build_grid((2100, 2), 1.0, boundary="wired")
+        assert g.n_vertices > DENSE_MAX
+        betas = sample_beta_batch(g, 3, philox_stream(67))
+        assert betas.shape == (3, g.n_vertices)
+        i, j = g.edges[:, 0], g.edges[:, 1]
+        band = int(np.max(j - i))
+        for beta in betas:
+            ab = np.zeros((band + 1, g.n_vertices))
+            ab[band] = 2.0 * beta
+            ab[band + i - j, j] = -g.weights
+            cholesky_banded(ab)
 
     def test_laplace_transform_match(self):
         g = build_grid((2, 2), 1.0, boundary="wired")

@@ -283,6 +283,18 @@ class TestLaplaceAudit:
         assert row["dev_se"] == 0.0
         assert row["passed"]
 
+    def test_nearly_constant_statistic_keeps_its_standard_error(self):
+        # exp(-1e-9 beta_0) varies only in its ninth digit: raw second
+        # moments cancel to zero there, centred ones keep the SE.  2 beta_0
+        # is RIG(4) on the wired square, so the SE is 1e-9 sqrt(1.5 / n).
+        g = build_grid((2, 2), 1.0, boundary="wired")
+        n = 10_000
+        rep = laplace_audit(g, [[1e-9, 0.0, 0.0, 0.0]], MonteCarloConfig(n_samples=n, seed=0))
+        row = rep["rows"][0]
+        assert abs(row["estimate"].std_error / (1e-9 * math.sqrt(1.5 / n)) - 1.0) < 0.1
+        assert row["dev_se"] <= SE_SLACK
+        assert rep["all_passed"]
+
     def test_shape_validation(self):
         g = build_grid((2,), 1.0)
         with pytest.raises(ValueError):
