@@ -138,7 +138,6 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 
 def _mc_config(args: argparse.Namespace) -> MonteCarloConfig:
-    workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
     try:
         return MonteCarloConfig(
             n_samples=args.samples,
@@ -147,7 +146,6 @@ def _mc_config(args: argparse.Namespace) -> MonteCarloConfig:
             sampler=args.sampler,
             burn_in=args.burn_in,
             thinning=args.thinning,
-            workers=workers,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -182,12 +180,6 @@ def _add_mc_options(p: argparse.ArgumentParser, samples: int) -> None:
     )
     p.add_argument("--burn-in", type=int, default=500, help="Gibbs burn-in sweeps")
     p.add_argument("--thinning", type=int, default=10, help="Gibbs sweeps between samples")
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="thread pool size across chains (default: available parallelism)",
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,7 @@ LOG_2_OVER_PI = math.log(2.0 / math.pi)
 
 #: Batch sizing for the exact sampler: a fixed scalar budget so that chunk
 #: boundaries (and hence the random stream layout) depend only on the graph
-#: size, never on memory pressure or worker count.
+#: size, never on memory pressure.
 BATCH_SCALARS = 1 << 24
 
 

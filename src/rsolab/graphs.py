@@ -7,8 +7,7 @@ them know their ambient dimension (needed for the Dirichlet diagonal
 correction) and estimators can locate the center vertex and boundary shells.
 
 Graphs are immutable: derived graphs (ghost vertex attached, vertex removed)
-are new values, so one graph can be shared freely across parallel sampler
-chains.
+are new values, so one graph can be shared freely across sampler chains.
 """
 
 from __future__ import annotations

@@ -14,6 +14,8 @@ with one degree of freedom.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import log_ndtr, ndtr
 
@@ -95,6 +97,22 @@ def sample_rig(a, rng: np.random.Generator, size=None):
     ``size``.  Exactly one normal and one uniform are consumed per output
     element regardless of ``a``, so the stream layout is reproducible.
     """
+    if size is None and (isinstance(a, float) or np.ndim(a) == 0):
+        # one draw per Gibbs site update: Python floats beat 0-d arrays
+        a = float(a)
+        if a < 0:
+            raise ValueError("parameter a must be nonnegative")
+        nu = rng.standard_normal()
+        u = rng.random()
+        z = nu * nu
+        if a < TINY_A:
+            return z
+        mu = 1.0 / a
+        t = mu * z
+        big = mu * (1.0 + 0.5 * t + 0.5 * math.sqrt(t) * math.sqrt(4.0 + t))
+        small = mu * mu / big
+        return a * a * (big if u <= mu / (mu + small) else small)
+
     a_arr = np.asarray(a, dtype=float)
     if np.any(a_arr < 0):
         raise ValueError("parameter a must be nonnegative")
@@ -106,17 +124,6 @@ def sample_rig(a, rng: np.random.Generator, size=None):
     nu = rng.standard_normal(shape)
     u = rng.random(shape)
     z = nu * nu
-    if shape == ():
-        a_b = float(a_arr)
-        if a_b < TINY_A:
-            return float(z)
-        mu = 1.0 / a_b
-        t = mu * z
-        big = mu * (1.0 + 0.5 * t + 0.5 * np.sqrt(t) * np.sqrt(4.0 + t))
-        small = mu * mu / big
-        accept_small = u <= mu / (mu + small)
-        return float(a_b * a_b * (big if accept_small else small))
-
     a_b = np.broadcast_to(a_arr, shape)
     y = z.copy()
     pos = a_b >= TINY_A

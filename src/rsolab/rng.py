@@ -2,8 +2,8 @@
 
 Every stochastic routine in this package draws from a counter-based Philox
 generator seeded through :class:`numpy.random.SeedSequence`.  A master seed
-plus a chain index fully determines the stream, so independent chains can run
-in parallel (or be re-run later) and still produce byte-identical output.
+plus a chain index fully determines the stream, so any chain can be re-run
+on its own and still produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ def philox_stream(seed: int, chain: int = 0) -> np.random.Generator:
     """Return the Philox generator for (master seed, chain index).
 
     Distinct chains use `SeedSequence.spawn_key`, which guarantees
-    non-overlapping streams without any coordination between workers.
+    non-overlapping streams without any coordination between chains.
     """
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")

@@ -5,7 +5,8 @@ sampler by default, Gibbs on request), evaluate a per-sample statistic vector
 in fixed-size slices, and reduce (count, sum, centred sum of squares) in
 slice and chain order.  The slice sizes are fixed functions of the graph
 size, so a rerun with the same configuration and seed reproduces every
-draw — and therefore every report — bit for bit, regardless of worker count.
+draw — and therefore every report — bit for bit.  Chains run one after
+another in chain order, so no output depends on the machine's core count.
 
 Audits compare estimates against closed-form bounds with a uniform 3-standard
 -error slack and never mutate the underlying data.
@@ -14,9 +15,7 @@ Audits compare estimates against closed-form bounds with a uniform 3-standard
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -111,11 +110,10 @@ class DecayFit:
 
 @dataclass(frozen=True)
 class MonteCarloConfig:
-    """How estimators draw and distribute their samples.
+    """How estimators draw their samples.
 
-    n_samples is the total across chains; the exact sampler ignores burn_in
-    and thinning.  Workers parallelize across chains only, so results are
-    independent of the worker count.
+    n_samples is the total across chains, which run serially in chain
+    order; the exact sampler ignores burn_in and thinning.
     """
 
     n_samples: int
@@ -124,13 +122,12 @@ class MonteCarloConfig:
     sampler: str = "exact"
     burn_in: int = 500
     thinning: int = 10
-    workers: int = 1
 
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError("n_samples must be positive")
-        if self.chains < 1 or self.workers < 1:
-            raise ValueError("chains and workers must be positive")
+        if self.chains < 1:
+            raise ValueError("chains must be positive")
         if self.sampler not in ("exact", "gibbs"):
             raise ValueError(f"unknown sampler {self.sampler!r}")
 
@@ -153,9 +150,15 @@ def _slice_size(n_vertices: int, dense: bool) -> int:
     return int(min(_MAX_SLICE, max(1, per)))
 
 
-def _iter_chain_slices(g: WeightedGraph, cfg: MonteCarloConfig, chain: int, n_chain: int, dense: bool):
-    """Yield (b, n) beta slices for one chain, at a fixed cadence."""
+def _iter_chain_slices(g: WeightedGraph, cfg: MonteCarloConfig, dense: bool):
+    """For each chain, in chain order, an iterator over its beta slices."""
     size = _slice_size(g.n_vertices, dense)
+    for chain, n_chain in enumerate(_chain_sizes(cfg.n_samples, cfg.chains)):
+        yield _chain_slices(g, cfg, chain, n_chain, size)
+
+
+def _chain_slices(g: WeightedGraph, cfg: MonteCarloConfig, chain: int, n_chain: int, size: int):
+    """Yield (b, n) beta slices for one chain, at a fixed cadence, from its own stream."""
     if cfg.sampler == "exact":
         rng = philox_stream(cfg.seed, chain)
         done = 0
@@ -181,28 +184,21 @@ def _iter_chain_slices(g: WeightedGraph, cfg: MonteCarloConfig, chain: int, n_ch
 def _run_chains(g: WeightedGraph, cfg: MonteCarloConfig, eval_slice, k: int, dense: bool):
     """Mean and SE of a k-vector statistic; deterministic ordered reduction.
 
-    eval_slice maps a (b, n) beta slice to a (b, k) statistic array.
+    eval_slice maps a (b, n) beta slice to a (b, k) statistic array.  Slices
+    merge into their chain's moments, and chains into the total, in order.
     """
-    sizes = _chain_sizes(cfg.n_samples, cfg.chains)
     empty = (0, np.zeros(k), np.zeros(k))
-
-    def one_chain(chain: int):
+    total = empty
+    for slices in _iter_chain_slices(g, cfg, dense):
         acc = empty
-        for block in _iter_chain_slices(g, cfg, chain, sizes[chain], dense):
+        for block in slices:
             vals = eval_slice(block)
             s = vals.sum(axis=0)
             centred = vals - s / vals.shape[0]
             acc = _merge_moments(acc, (vals.shape[0], s, (centred * centred).sum(axis=0)))
-        return acc
-
-    if cfg.workers > 1 and cfg.chains > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            parts = list(pool.map(one_chain, range(cfg.chains)))
-    else:
-        parts = [one_chain(c) for c in range(cfg.chains)]
-
-    n, total, m2 = reduce(_merge_moments, parts, empty)
-    mean = total / n
+        total = _merge_moments(total, acc)
+    n, s, m2 = total
+    mean = s / n
     se = np.sqrt(m2 / (n - 1) / n) if n > 1 else np.zeros(k)
     return mean, se, n
 
@@ -225,17 +221,9 @@ def _merge_moments(a, b):
 
 def _collect_values(g: WeightedGraph, cfg: MonteCarloConfig, eval_slice, dense: bool) -> np.ndarray:
     """All per-sample scalar values, in chain order (for KS-style tests)."""
-    sizes = _chain_sizes(cfg.n_samples, cfg.chains)
-
-    def one_chain(chain: int):
-        return [eval_slice(b) for b in _iter_chain_slices(g, cfg, chain, sizes[chain], dense)]
-
-    if cfg.workers > 1 and cfg.chains > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            parts = list(pool.map(one_chain, range(cfg.chains)))
-    else:
-        parts = [one_chain(c) for c in range(cfg.chains)]
-    return np.concatenate([np.concatenate(p) for p in parts if p])
+    return np.concatenate(
+        [eval_slice(block) for slices in _iter_chain_slices(g, cfg, dense) for block in slices]
+    )
 
 
 def _dense_batch(g: WeightedGraph, betas: np.ndarray, bc: str, scaled: bool, w: float) -> np.ndarray:

@@ -60,7 +60,7 @@ def test_c01_laplace_transform_matches_closed_form():
         np.array([2.0, 1.0, 0.5, 0.25]),
     ]
     t0 = time.perf_counter()
-    rep = laplace_audit(g, lams, MonteCarloConfig(n_samples=100_000, seed=101, chains=4, workers=4))
+    rep = laplace_audit(g, lams, MonteCarloConfig(n_samples=100_000, seed=101, chains=4))
     elapsed = time.perf_counter() - t0
     worst = max(r["dev_se"] for r in rep["rows"])
     ok = rep["all_passed"] and elapsed < 120.0
@@ -71,7 +71,7 @@ def test_c02_gamma_marginal_of_diagonal_rate():
     # zero boundary field on a 3-vertex path: 1/(2 G(0,0)) ~ Gamma(1/2, 1)
     g = build_grid((3,), w=1.0, boundary="zero")
     rep = gamma_marginal_test(
-        g, MonteCarloConfig(n_samples=100_000, seed=202, chains=4, workers=4), vertex=0
+        g, MonteCarloConfig(n_samples=100_000, seed=202, chains=4), vertex=0
     )
     ok = rep["mean_dev_se"] <= 3.0 and rep["var_dev_se"] <= 4.0 and rep["ks_distance"] < 0.01
     _verdict(
@@ -138,7 +138,7 @@ def test_c05_ids_exponent_and_upper_bound():
     t0 = time.perf_counter()
     curve = estimate_ids(
         1, 2000, 1.0, "dirichlet", energies,
-        MonteCarloConfig(n_samples=20_000, seed=303, chains=4, workers=4),
+        MonteCarloConfig(n_samples=20_000, seed=303, chains=4),
     )
     elapsed = time.perf_counter() - t0
     fit = fit_loglog_slope(curve)
@@ -155,7 +155,7 @@ def test_c06_wegner_increments():
     # d=1, W=1, E=0.5: spectral mass of (E-eps, E+eps] under the sqrt bound
     rep = wegner_audit(
         1, 500, 1.0, "simple", 0.5, (0.1, 0.05, 0.01),
-        MonteCarloConfig(n_samples=20_000, seed=707, chains=4, workers=4),
+        MonteCarloConfig(n_samples=20_000, seed=707, chains=4),
     )
     worst = max(r["estimate"] / r["bound"] for r in rep["rows"])
     _verdict("C6", rep["all_passed"], f"worst estimate/bound ratio {worst:.3f}")
@@ -182,7 +182,7 @@ def test_c07_resistance_identity():
 def test_c08_boundary_mass_martingale():
     # d=2, outer half side 8, inner {2,3,4}: E[psi]=1 and constant bracket
     rep = martingale_check(
-        2, 8, (2, 3, 4), 1.0, MonteCarloConfig(n_samples=4000, seed=404, chains=4, workers=4)
+        2, 8, (2, 3, 4), 1.0, MonteCarloConfig(n_samples=4000, seed=404, chains=4)
     )
     worst = max(r["mean_dev_se"] for r in rep["rows"])
     ok = rep["means_ok"] and rep["brackets_ok"]
@@ -195,7 +195,7 @@ def test_c09_coupling_monotonicity():
     g_high = build_grid((3,), w=1.0, boundary="wired")
     rep = monotonicity_check(
         g_low, g_high, 0, 2,
-        MonteCarloConfig(n_samples=200_000, seed=909, chains=4, workers=4),
+        MonteCarloConfig(n_samples=200_000, seed=909, chains=4),
         quadrature_tol=1e-6,
     )
     ok = rep["ordering_ok"] and rep["mc_matches_quad"] and rep["quad_ordering_ok"]

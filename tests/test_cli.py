@@ -44,6 +44,14 @@ class TestParsing:
         assert main(["critical", "--frobnicate"]) == 1
         capsys.readouterr()
 
+    def test_removed_workers_flag_is_rejected(self, tmp_path, capsys):
+        # chains run serially; a leftover --workers must fail, not be ignored
+        code = run(tmp_path, "ids", "--d", "1", "--L", "5", "--W", "1.0",
+                   "--samples", "10", "--workers", "2")
+        assert code == 1
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
+        assert not (tmp_path / "ids.csv").exists()
+
     def test_missing_required_flag(self, capsys):
         assert main(["ids", "--d", "1"]) == 1  # --L and --W missing
         capsys.readouterr()
@@ -171,15 +179,6 @@ class TestStochasticCommands:
         assert (tmp_path / "wegner.csv").read_bytes() == csv1
         assert (tmp_path / "wegner.json").read_bytes() == json1
         assert csv1.split(b"\n", 1)[0] == b"epsilon,estimate,std_error,bound,passed,ratio_to_epsilon"
-
-    def test_worker_count_invisible_in_output(self, tmp_path, capsys):
-        a, b = tmp_path / "a", tmp_path / "b"
-        base = ("--d", "1", "--L", "8", "--W", "1.0", "--energy", "0.5",
-                "--epsilons", "0.1", "--samples", "80", "--chains", "4", "--seed", "2")
-        assert main(["wegner", "--out-dir", str(a), *base, "--workers", "1"]) == 0
-        assert main(["wegner", "--out-dir", str(b), *base, "--workers", "4"]) == 0
-        capsys.readouterr()
-        assert (a / "wegner.csv").read_bytes() == (b / "wegner.csv").read_bytes()
 
     def test_ids_quick_run(self, tmp_path, capsys):
         code = run(tmp_path, "ids", "--d", "1", "--L", "50", "--W", "1.0",

@@ -15,7 +15,7 @@ from scipy.integrate import quad
 from scipy.special import gammainc
 from scipy.stats import kstest
 
-from rsolab.rig import rig_cdf, rig_logpdf, rig_mode, rig_pdf, sample_rig
+from rsolab.rig import TINY_A, rig_cdf, rig_logpdf, rig_mode, rig_pdf, sample_rig
 from rsolab.rng import philox_stream
 
 A_GRID = (0.0, 0.1, 1.0, 10.0)
@@ -143,6 +143,18 @@ class TestSampler:
         scalar = sample_rig(a, philox_stream(3))
         array = sample_rig(np.array([a]), philox_stream(3), size=1)
         assert np.isclose(scalar, array[0])
+
+    @pytest.mark.parametrize("a", (0.0, TINY_A / 2, 1e-3, 1.3, 1e6))
+    def test_scalar_draw_is_bit_identical_to_array_draw(self, a):
+        # the scalar fast path must consume the same stream and do the same
+        # arithmetic as the array path, draw after draw
+        rng_s, rng_a = philox_stream(31), philox_stream(31)
+        for _ in range(200):
+            scalar = sample_rig(a, rng_s)
+            assert type(scalar) is float
+            array = sample_rig(np.array([a]), rng_a)[0]
+            assert np.float64(scalar).tobytes() == array.tobytes()
+        assert rng_s.random() == rng_a.random()
 
     def test_broadcasts_parameter_array(self):
         a = np.array([0.0, 1.0, 5.0])
