@@ -28,7 +28,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import kstest
 
 from ._version import VERSION
 from .critical import ROOT_RESIDUAL_TOL, comparison_scan, critical_report
@@ -515,6 +514,8 @@ _VALIDATE_IDENTITY_CASES = ((1, 12, 3, 1.0), (2, 5, 2, 0.5))
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from scipy.stats import kstest
+
     checks: list[dict] = []
     seed = args.seed
 

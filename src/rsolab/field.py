@@ -513,14 +513,15 @@ def _eval_grid(
     """Tensor-product integral of integrand * density over the support."""
     n = g.n_vertices
     wmat = g.weight_matrix()
-    grids = np.meshgrid(*([nodes_1d] * n), indexing="ij")
-    s_pts = np.stack([a.ravel() for a in grids], axis=1)
-    wgrids = np.meshgrid(*([weights_1d] * n), indexing="ij")
-    w_pts = np.prod(np.stack([a.ravel() for a in wgrids], axis=1), axis=1)
+    shape = (nodes_1d.size,) * n
+    n_pts = nodes_1d.size**n
     total = 0.0
-    for start in range(0, s_pts.shape[0], _QUAD_CHUNK):
-        s = s_pts[start : start + _QUAD_CHUNK]
-        wq = w_pts[start : start + _QUAD_CHUNK]
+    # each chunk's nodes come from its own flat index range, so memory is
+    # bounded by _QUAD_CHUNK rather than by the whole tensor grid
+    for start in range(0, n_pts, _QUAD_CHUNK):
+        idx = np.unravel_index(np.arange(start, min(start + _QUAD_CHUNK, n_pts)), shape)
+        s = np.stack([nodes_1d[i] for i in idx], axis=1)
+        wq = np.prod(np.stack([weights_1d[i] for i in idx], axis=1), axis=1)
         y = s * s
         beta, q_eta = _pivots_to_field(y, wmat, g.eta)
         log_piv = 2.0 * np.sum(np.log(s), axis=1)
@@ -532,12 +533,10 @@ def _eval_grid(
 
 
 def _call_integrand(integrand: Callable, beta: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(integrand(beta), dtype=float)
-        if vals.shape == (beta.shape[0],):
-            return vals
-    except Exception:
-        pass
+    """integrand on an (M, n) beta array, row by row if its result is not (M,)."""
+    vals = np.asarray(integrand(beta), dtype=float)
+    if vals.shape == (beta.shape[0],):
+        return vals
     return np.apply_along_axis(lambda row: float(integrand(row)), 1, beta)
 
 
@@ -549,10 +548,12 @@ def quadrature_oracle(
     """Integrate integrand(beta) * density over the support, |V| <= 3.
 
     ``integrand`` is ideally vectorized over an (M, n) beta array returning
-    (M,); plain scalar callables are accepted and looped.  Adaptive in the
-    sense of panelized Gauss-Legendre at two orders: if the refinement
-    changes the value by more than ``tol`` (absolute), the budget is deemed
-    insufficient and :class:`QuadratureBudgetError` is raised.
+    (M,); when its result on that array has another shape, as a scalar
+    callable's does, it is called again row by row.  Its exceptions
+    propagate.  Adaptive in the sense of panelized Gauss-Legendre at two
+    orders: if the refinement changes the value by more than ``tol``
+    (absolute), the budget is deemed insufficient and
+    :class:`QuadratureBudgetError` is raised.
 
     Independent of every sampler: only the density formula enters.
     """

@@ -179,23 +179,6 @@ def assemble(f: BetaField, bc: str = "simple", scaled: bool = False) -> Operator
 # ---------------------------------------------------------------------------
 
 
-def _sturm_count_scalar(diag: np.ndarray, off: np.ndarray, energy: float) -> int:
-    """Number of eigenvalues <= energy of the tridiagonal (diag, off)."""
-    count = 0
-    q = diag[0] - energy
-    if abs(q) < PIVMIN:
-        q = -PIVMIN
-    if q < 0:
-        count += 1
-    for k in range(1, diag.shape[0]):
-        q = (diag[k] - energy) - (off[k - 1] * off[k - 1]) / q
-        if abs(q) < PIVMIN:
-            q = -PIVMIN
-        if q < 0:
-            count += 1
-    return count
-
-
 def sturm_counts_batch(diag: np.ndarray, off: np.ndarray, energies: np.ndarray) -> np.ndarray:
     """Vectorized Sturm counts: diag (B, n), off (n-1,) or (B, n-1), energies (k,).
 
@@ -270,7 +253,7 @@ def count_eigenvalues_leq(m: OperatorMatrix, energy: float, method: str | None =
     method = method.lower()
     if method == "sturm":
         d, e = m.tridiagonal
-        return SpectralCount(energy, _sturm_count_scalar(d, e, energy), "sturm")
+        return SpectralCount(energy, int(sturm_counts_batch(d[None], e, [energy])[0, 0]), "sturm")
     if m.n > DENSE_CUTOFF:
         raise ValueError(
             f"eigenvalue counting on a non-path graph with n={m.n} exceeds the "
@@ -278,13 +261,13 @@ def count_eigenvalues_leq(m: OperatorMatrix, energy: float, method: str | None =
         )
     if method == "dense":
         d, e = _tridiagonalize(m.to_dense())
-        return SpectralCount(energy, _sturm_count_scalar(d, e, energy), "dense")
+        return SpectralCount(energy, int(sturm_counts_batch(d[None], e, [energy])[0, 0]), "dense")
     if method == "inertia":
         try:
             return SpectralCount(energy, _inertia_count(m.to_dense(), energy), "inertia")
         except LinAlgError:
             d, e = _tridiagonalize(m.to_dense())
-            return SpectralCount(energy, _sturm_count_scalar(d, e, energy), "dense")
+            return SpectralCount(energy, int(sturm_counts_batch(d[None], e, [energy])[0, 0]), "dense")
     raise ValueError(f"unknown counting method {method!r}")
 
 

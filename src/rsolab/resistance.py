@@ -17,7 +17,6 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import kstest
 
 from .field import BetaField, sample_beta_batch
 from .graphs import WeightedGraph, build_box
@@ -336,6 +335,7 @@ def pinning_gamma_ks(
     asserting it.
     """
     from scipy.special import gammainc
+    from scipy.stats import kstest
 
     rows = []
     for chain, k in enumerate(k_values):

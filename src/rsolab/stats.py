@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 from scipy.special import gammainc
-from scipy.stats import kstest
 
 from .field import SamplerConfig, laplace_exact, sample_beta_batch, sample_field
-from .graphs import WeightedGraph, build_box
+from .graphs import WeightedGraph, build_box, remove_vertex
 from .operators import (
     FactorizationError,
     count_eigenvalues_many,
@@ -244,11 +243,32 @@ def _dense_batch(g: WeightedGraph, betas: np.ndarray, bc: str, scaled: bool, w: 
     return out
 
 
-def _batch_inverse(mats: np.ndarray) -> np.ndarray:
+def _green_solve(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve each (n, n) matrix of the (b, n, n) stack against one (n, k) rhs.
+
+    Returns the (b, n, k) solutions; a singular slice is a FactorizationError.
+    """
     try:
-        return np.linalg.inv(mats)
+        return np.linalg.solve(mats, np.broadcast_to(rhs, (mats.shape[0], *rhs.shape)))
     except np.linalg.LinAlgError as exc:
         raise FactorizationError("singular operator in a sampled slice") from exc
+
+
+def _green_ratio(g: WeightedGraph, betas: np.ndarray, s: int, t: int) -> np.ndarray:
+    """sqrt(G(s,t)/G(s,s)) with G = (2 beta - W)^{-1}, one value per row of betas.
+
+    Column s of M G = I off row s reads M_{-s} G(., s) = W(., s) G(s,s), so
+    the ratios are the solve of the vertex-s-deleted block against the
+    couplings to s.  Neither M^{-1} nor det M enters, so the quadrature
+    integrand stays stable at the grid's near-singular corners.
+    """
+    if s == t:
+        return np.ones(betas.shape[0])
+    keep = np.arange(g.n_vertices) != s
+    # w only scales Dirichlet or scaled operators; this one is neither
+    mats = _dense_batch(remove_vertex(g, s), betas[:, keep], bc="simple", scaled=False, w=1.0)
+    x = _green_solve(mats, g.weight_matrix()[keep, s, None])
+    return np.sqrt(x[:, t - (t > s), 0])
 
 
 # ---------------------------------------------------------------------------
@@ -447,12 +467,11 @@ def decay_moment_fit(
         [g.vertex_at([t] + [0] * (d - 1)) for t in range(0, half_side + 1)], dtype=np.int64
     )
     k = targets.size
-    rhs = np.zeros(g.n_vertices)
-    rhs[center] = 1.0
+    rhs = np.eye(g.n_vertices)[:, [center]]
 
     def eval_slice(betas: np.ndarray) -> np.ndarray:
         mats = _dense_batch(g, betas, bc="simple", scaled=False, w=w)
-        cols = np.linalg.solve(mats, np.broadcast_to(rhs, betas.shape)[:, :, None])[:, :, 0]
+        cols = _green_solve(mats, rhs)[:, :, 0]
         if not np.all(cols[:, targets] > 0):
             raise FactorizationError("Green column lost positivity in a slice")
         if kind == "quarter":
@@ -517,28 +536,29 @@ def localization_event_probabilities(
     keep[center] = False
     del_boundary = np.searchsorted(np.nonzero(keep)[0], boundary_idx[boundary_idx != center])
     del_nbrs = np.searchsorted(np.nonzero(keep)[0], center_nbrs)
+    center_col = np.eye(n)[:, [center]]
+    nbr_cols = np.eye(n - 1)[:, del_nbrs]
 
     ratio_thresh = np.exp(-decay_rate * np.max(np.abs(g.coords[boundary_idx]), axis=1) / 2.0)
     diag_thresh = math.exp(decay_rate * half_side)
     deleted_thresh = math.exp(-1.5 * decay_rate * half_side)
 
+    # every Green matrix here is symmetric, so a column solve gives the rows
     def eval_slice(betas: np.ndarray) -> np.ndarray:
         b = betas.shape[0]
         mats = _dense_batch(g, betas, bc="simple", scaled=False, w=w)
-        ginv = _batch_inverse(mats)
-        ratios = np.sqrt(ginv[:, center, :][:, boundary_idx] / ginv[:, center, center, None])
+        gc = _green_solve(mats, center_col)[:, :, 0]
+        ratios = np.sqrt(gc[:, boundary_idx] / gc[:, center, None])
         ev_ratio = np.all(ratios <= ratio_thresh[None, :], axis=1)
-        scaled_diag = w * ginv[:, center, center]
+        scaled_diag = w * gc[:, center]
         ev_diag = scaled_diag <= diag_thresh
 
         sub = mats[np.ix_(np.arange(b), keep, keep)]
-        sub_inv = _batch_inverse(sub)
-        deleted = sub_inv[np.ix_(np.arange(b), del_nbrs, del_boundary)]
+        deleted = _green_solve(sub, nbr_cols)[:, del_boundary, :]
         ev_deleted = np.all(deleted.reshape(b, -1) <= deleted_thresh, axis=1)
 
         mats_d = _dense_batch(g, betas, bc="dirichlet", scaled=True, w=w)
-        ginv_d = _batch_inverse(mats_d)
-        diag_d = ginv_d[:, center, center]
+        diag_d = _green_solve(mats_d, center_col)[:, center, 0]
 
         localized = ev_ratio & ev_diag
         big_simple = scaled_diag > 1.0 / energy
@@ -589,12 +609,14 @@ def gamma_marginal_test(g: WeightedGraph, cfg: MonteCarloConfig, vertex: int = 0
         raise ValueError("the Gamma-marginal statement needs a zero boundary field")
     if not 0 <= vertex < g.n_vertices:
         raise ValueError("vertex out of range")
+    from scipy.stats import kstest
+
     w = g.uniform_weight if g.uniform_weight is not None else 1.0
+    rhs = np.eye(g.n_vertices)[:, [vertex]]
 
     def eval_slice(betas: np.ndarray) -> np.ndarray:
         mats = _dense_batch(g, betas, bc="simple", scaled=False, w=w)
-        ginv = _batch_inverse(mats)
-        return 0.5 / ginv[:, vertex, vertex]
+        return 0.5 / _green_solve(mats, rhs)[:, vertex, 0]
 
     xs = _collect_values(g, cfg, eval_slice, dense=True)
     n = xs.size
@@ -666,7 +688,7 @@ def ward_moment_check(
 
     def eval_slice(betas: np.ndarray) -> np.ndarray:
         mats = _dense_batch(g, betas, bc="simple", scaled=False, w=w)
-        lin = np.linalg.solve(mats, np.broadcast_to(g.eta, betas.shape)[:, :, None])[:, :, 0]
+        lin = _green_solve(mats, g.eta[:, None])[:, :, 0]
         if not np.all(lin > 0):
             raise FactorizationError("boundary solve lost positivity in a slice")
         u = np.log(lin)
@@ -727,7 +749,7 @@ def martingale_check(
         bracket = np.empty((b, k))
         for t, (idx, sub, rhs) in enumerate(subs):
             mats = _dense_batch(sub, betas[:, idx], bc="simple", scaled=False, w=w)
-            sol = np.linalg.solve(mats, np.broadcast_to(rhs, (b, *rhs.shape)))
+            sol = _green_solve(mats, rhs)
             psi_t = sol[:, sub.center_index, 0]
             g00_t = sol[:, sub.center_index, 1]
             psi[:, t] = psi_t
@@ -781,39 +803,6 @@ def martingale_check(
 # ---------------------------------------------------------------------------
 
 
-def _cofactor_ratio(mats: np.ndarray, s: int, t: int) -> np.ndarray:
-    """G(s,t)/G(s,s) of a stack of symmetric matrices via cofactors (n <= 3)."""
-    n = mats.shape[1]
-    if not 1 <= n <= 3:
-        raise ValueError("cofactor ratios are implemented for up to 3 vertices")
-    if n == 1 or s == t:
-        return np.ones(mats.shape[0])
-    idx = list(range(n))
-
-    def minor_det(i: int, j: int) -> np.ndarray:
-        rows = [r for r in idx if r != i]
-        cols = [c for c in idx if c != j]
-        sub = mats[:, rows][:, :, cols]
-        if n == 2:
-            return sub[:, 0, 0]
-        return sub[:, 0, 0] * sub[:, 1, 1] - sub[:, 0, 1] * sub[:, 1, 0]
-
-    sign = -1.0 if (s + t) % 2 else 1.0
-    return sign * minor_det(s, t) / minor_det(s, s)
-
-
-def _ratio_statistic(source: int, target: int):
-    def eval_slice_factory(g: WeightedGraph, w: float):
-        def eval_slice(betas: np.ndarray) -> np.ndarray:
-            mats = _dense_batch(g, betas, bc="simple", scaled=False, w=w)
-            ginv = _batch_inverse(mats)
-            return np.sqrt(ginv[:, source, target] / ginv[:, source, source])
-
-        return eval_slice
-
-    return eval_slice_factory
-
-
 def monotonicity_check(
     g_low: WeightedGraph,
     g_high: WeightedGraph,
@@ -835,37 +824,18 @@ def monotonicity_check(
     if np.any(g_low.weights > g_high.weights) or np.any(g_low.eta > g_high.eta):
         raise ValueError("g_low must be dominated by g_high (weights and eta)")
 
-    stat = _ratio_statistic(source, target)
-    results = {}
+    from .field import quadrature_oracle
+
+    results, quad = {}, {}
     for name, g in (("low", g_low), ("high", g_high)):
-        w = g.uniform_weight if g.uniform_weight is not None else 1.0
-        vals = _collect_values(g, cfg, stat(g, w), dense=True)
+        stat = partial(_green_ratio, g, s=source, t=target)
+        vals = _collect_values(g, cfg, stat, dense=True)
         n = vals.size
         results[name] = EstimateWithCI(
             float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n)), n, cfg.seed
         )
-
-    quad = {}
-    if g_low.n_vertices <= 3:
-        from .field import quadrature_oracle
-
-        def make_integrand(wm: np.ndarray):
-            # the Green ratio is a cofactor ratio, so evaluating it without
-            # dividing by the determinant stays stable at the integration
-            # grid's near-singular corners
-            def f(betas: np.ndarray) -> np.ndarray:
-                b, n = betas.shape
-                mats = np.broadcast_to(-wm, (b, n, n)).copy()
-                ii = np.arange(n)
-                mats[:, ii, ii] = 2.0 * betas
-                return np.sqrt(_cofactor_ratio(mats, source, target))
-
-            return f
-
-        for name, g in (("low", g_low), ("high", g_high)):
-            quad[name] = quadrature_oracle(
-                g, make_integrand(g.weight_matrix()), tol=quadrature_tol / 10.0
-            )
+        if g.n_vertices <= 3:
+            quad[name] = quadrature_oracle(g, stat, tol=quadrature_tol / 10.0)
 
     se_comb = math.hypot(results["low"].std_error, results["high"].std_error)
     gap = results["high"].value - results["low"].value
@@ -905,6 +875,8 @@ def levy_concentration(a: float, epsilon: float) -> float:
         raise ValueError("a must be nonnegative")
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
+    from scipy.optimize import minimize_scalar
+
     mode = rig_mode(a)
     lo = max(0.0, mode - epsilon)
     hi = mode

@@ -335,3 +335,17 @@ def test_module_main_matches_script():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().startswith("rso ")
+
+
+def test_import_leaves_scipy_stats_and_optimize_unloaded():
+    # only validate, the pinning KS report, the Gamma-marginal audit and the
+    # Levy concentration use them, so they load inside those functions
+    probe = (
+        "import sys, rsolab.cli; "
+        "print([m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.optimize'))])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

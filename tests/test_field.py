@@ -8,6 +8,7 @@ reciprocal-inverse-Gaussian law with parameter = weighted degree + eta).
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import kstest
 
+from rsolab import field
 from rsolab.field import (
     BetaField,
     PositivityLossError,
@@ -31,6 +33,7 @@ from rsolab.field import (
     sample_field,
 )
 from rsolab.graphs import DENSE_MAX, WeightedGraph, attach_delta, build_box, build_grid
+from rsolab.operators import FactorizationError
 from rsolab.rig import rig_cdf, sample_rig
 from rsolab.rng import philox_stream
 
@@ -324,7 +327,54 @@ class TestGibbsSampler:
         assert "sweep" in f.provenance
 
 
+def _meshgrid_eval_grid(g, integrand, nodes_1d, weights_1d):
+    """Frozen copy of the quadrature grid that built every node before chunking."""
+    n = g.n_vertices
+    wmat = g.weight_matrix()
+    grids = np.meshgrid(*([nodes_1d] * n), indexing="ij")
+    s_pts = np.stack([a.ravel() for a in grids], axis=1)
+    wgrids = np.meshgrid(*([weights_1d] * n), indexing="ij")
+    w_pts = np.prod(np.stack([a.ravel() for a in wgrids], axis=1), axis=1)
+    total = 0.0
+    for start in range(0, s_pts.shape[0], field._QUAD_CHUNK):
+        s = s_pts[start : start + field._QUAD_CHUNK]
+        wq = w_pts[start : start + field._QUAD_CHUNK]
+        beta, q_eta = field._pivots_to_field(s * s, wmat, g.eta)
+        logrho = field._log_density_batch(g, beta, q_eta, 2.0 * np.sum(np.log(s), axis=1))
+        total += float(np.sum(integrand(beta) * np.exp(logrho) * np.prod(s, axis=1) * wq))
+    return total
+
+
 class TestQuadratureOracle:
+    def test_chunked_grid_matches_full_grid_in_bounded_memory(self, monkeypatch):
+        g = two_path(1.0, (0.5, 0.0))
+
+        def f(b):
+            return np.exp(-b.sum(axis=1))
+
+        monkeypatch.setattr(field, "_QUAD_CHUNK", 1000)
+        tracemalloc.start()
+        try:
+            chunked = quadrature_oracle(g, f, tol=1e-8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(field, "_eval_grid", _meshgrid_eval_grid)
+        assert chunked == quadrature_oracle(g, f, tol=1e-8)
+        # the finer order's 336^2 node coordinates alone take 1.8 MB
+        assert peak < 336**2 * 2 * 8
+
+    def test_integrand_errors_propagate(self):
+        calls = []
+
+        def failing(b):
+            calls.append(b.shape)
+            raise FactorizationError("singular operator in a sampled slice")
+
+        with pytest.raises(FactorizationError, match="singular operator"):
+            quadrature_oracle(two_path(1.0), failing)
+        assert len(calls) == 1
+
     def test_rejects_large_graphs(self):
         with pytest.raises(ValueError):
             quadrature_oracle(build_grid((2, 2), 1.0), lambda b: np.ones(b.shape[0]))

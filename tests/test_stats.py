@@ -6,14 +6,17 @@ statistical); audits are exercised on synthetic curves with known outcomes
 and on live runs at pinned seeds.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 from scipy.special import gammainc
 
-from rsolab.field import sample_beta_batch
+from rsolab import stats
+from rsolab.field import _pivots_to_field, sample_beta_batch
 from rsolab.graphs import build_box, build_grid
+from rsolab.operators import FactorizationError
 from rsolab.rig import rig_cdf
 from rsolab.rng import philox_stream
 from rsolab.stats import (
@@ -23,6 +26,9 @@ from rsolab.stats import (
     IdsCurve,
     MonteCarloConfig,
     _chain_sizes,
+    _dense_batch,
+    _green_ratio,
+    _green_solve,
     bound_audit,
     decay_moment_fit,
     estimate_ids,
@@ -224,6 +230,133 @@ class TestDecayFit:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             decay_moment_fit(1, 4, 1.0, "cubic", MonteCarloConfig(n_samples=10))
+
+
+def _frozen_cofactor_ratio(mats: np.ndarray, s: int, t: int) -> np.ndarray:
+    """Frozen copy of the n <= 3 cofactor formula for G(s,t)/G(s,s) that the
+    quadrature integrand used before the Green-ratio solve replaced it."""
+    n = mats.shape[1]
+    if n == 1 or s == t:
+        return np.ones(mats.shape[0])
+    idx = list(range(n))
+
+    def minor_det(i: int, j: int) -> np.ndarray:
+        rows = [r for r in idx if r != i]
+        cols = [c for c in idx if c != j]
+        sub = mats[:, rows][:, :, cols]
+        if n == 2:
+            return sub[:, 0, 0]
+        return sub[:, 0, 0] * sub[:, 1, 1] - sub[:, 0, 1] * sub[:, 1, 0]
+
+    sign = -1.0 if (s + t) % 2 else 1.0
+    return sign * minor_det(s, t) / minor_det(s, s)
+
+
+def _spy_eval_slices(monkeypatch, runner: str) -> list:
+    """Record (betas, statistic) for every slice the named stats runner evaluates."""
+    seen = []
+    original = getattr(stats, runner)
+
+    def spy(g, cfg, eval_slice, *args, **kwargs):
+        def recorded(betas):
+            out = eval_slice(betas)
+            seen.append((betas.copy(), out))
+            return out
+
+        return original(g, cfg, recorded, *args, **kwargs)
+
+    monkeypatch.setattr(stats, runner, spy)
+    return seen
+
+
+class TestGreenSolves:
+    @pytest.mark.parametrize("shape", [(1,), (2,), (3,), (4,), (5,), (6,), (3, 3)])
+    def test_green_ratio_matches_full_inverse(self, shape):
+        g = build_grid(shape, 0.7, boundary="wired")
+        betas = sample_beta_batch(g, 40, philox_stream(len(shape) * 10 + shape[0]))
+        inv = np.linalg.inv(_dense_batch(g, betas, bc="simple", scaled=False, w=0.7))
+        for s in range(g.n_vertices):
+            for t in range(g.n_vertices):
+                want = np.sqrt(inv[:, s, t] / inv[:, s, s])
+                np.testing.assert_allclose(_green_ratio(g, betas, s, t), want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("w", [0.5, 1.0, 2.0])
+    def test_green_ratio_matches_frozen_cofactor_ratio(self, w):
+        # Pivots y are the quadrature oracle's variables.  Both formulas
+        # first assemble 2 beta_k = y_k + (Schur coupling), which cancels
+        # when two pivots are small, so the relative tolerance grows with
+        # w^2 / (y_i y_j), the condition of the solved two-vertex block.
+        # Pairs with y_i y_j below 1e-13 are left out: the oracle's smallest
+        # node pivot is 5.2e-7, so its grid stays above 2.7e-13.
+        eps = np.finfo(float).eps
+        for n in (1, 2, 3):
+            g = build_grid((n,), w, boundary="wired")
+            y = np.array(list(itertools.product(np.logspace(-12, 1, 14), repeat=n)))
+            ys = np.sort(y, axis=1)
+            if n == 3:
+                pair = ys[:, 0] * ys[:, 1]
+                y, cond = y[pair >= 1e-13], 1.0 + w * w / pair[pair >= 1e-13]
+            else:
+                cond = np.ones(y.shape[0])
+            betas, _ = _pivots_to_field(y, g.weight_matrix(), g.eta)
+            mats = _dense_batch(g, betas, bc="simple", scaled=False, w=w)
+            for s in range(n):
+                for t in range(n):
+                    want = np.sqrt(_frozen_cofactor_ratio(mats, s, t))
+                    got = _green_ratio(g, betas, s, t)
+                    assert np.all(np.abs(got - want) <= 8.0 * eps * cond * want)
+
+    def test_singular_slice_raises_factorization_error(self):
+        mats = np.array([np.eye(2), [[1.0, 1.0], [1.0, 1.0]]])
+        with pytest.raises(FactorizationError, match="singular operator"):
+            _green_solve(mats, np.ones((2, 1)))
+
+    def test_gamma_statistic_matches_full_inverse(self, monkeypatch):
+        g = build_grid((3,), 1.0, boundary="zero")
+        seen = _spy_eval_slices(monkeypatch, "_collect_values")
+        gamma_marginal_test(g, MonteCarloConfig(n_samples=500, seed=5), vertex=1)
+        assert sum(b.shape[0] for b, _ in seen) == 500
+        for betas, out in seen:
+            inv = np.linalg.inv(_dense_batch(g, betas, bc="simple", scaled=False, w=1.0))
+            np.testing.assert_allclose(out, 0.5 / inv[:, 1, 1], rtol=1e-12, atol=0)
+
+    def test_localization_events_match_full_inverse(self, monkeypatch):
+        d, half_side, w, kappa, energy = 2, 2, 0.5, 0.5, 2.0
+        seen = _spy_eval_slices(monkeypatch, "_run_chains")
+        localization_event_probabilities(
+            d, half_side, w, kappa, MonteCarloConfig(n_samples=300, seed=7), energy=energy
+        )
+        g = build_box(d, half_side, w=w, boundary="wired")
+        c = g.center_index
+        bnd = np.nonzero(np.max(np.abs(g.coords), axis=1) == half_side)[0]
+        indptr, nbrs, _ = g.neighbor_lists
+        keep = np.arange(g.n_vertices) != c
+        kept = np.nonzero(keep)[0]
+        del_nbrs = np.searchsorted(kept, nbrs[indptr[c] : indptr[c + 1]])
+        del_bnd = np.searchsorted(kept, bnd)
+        ratio_thresh = np.exp(-kappa * np.max(np.abs(g.coords[bnd]), axis=1) / 2.0)
+        occurred = np.zeros(7, dtype=bool)
+        for betas, out in seen:
+            mats = _dense_batch(g, betas, bc="simple", scaled=False, w=w)
+            inv = np.linalg.inv(mats)
+            sub_inv = np.linalg.inv(mats[:, keep][:, :, keep])
+            inv_d = np.linalg.inv(_dense_batch(g, betas, bc="dirichlet", scaled=True, w=w))
+            ratio = np.sqrt(inv[:, c, bnd] / inv[:, c, c, None])
+            ev_ratio = np.all(ratio <= ratio_thresh, axis=1)
+            diag = w * inv[:, c, c]
+            ev_diag = diag <= math.exp(kappa * half_side)
+            deleted = sub_inv[:, del_nbrs][:, :, del_bnd].reshape(betas.shape[0], -1)
+            ev_deleted = np.all(deleted <= math.exp(-1.5 * kappa * half_side), axis=1)
+            localized = ev_ratio & ev_diag
+            big = diag > 1.0 / energy
+            fail = localized & big & ~(inv_d[:, c, c] > 1.0 / (2.0 * energy))
+            want = np.column_stack(
+                [ev_ratio, ev_diag, ev_deleted, localized, fail, ~ev_diag, localized & big]
+            )
+            assert np.array_equal(out, want.astype(float))
+            occurred |= want.any(axis=0)
+        # every event but the implication failure occurs in the run
+        assert occurred.tolist() == [True, True, True, True, False, True, True]
 
 
 class TestLocalizationEvents:
