@@ -57,10 +57,12 @@ from .rng import chain_seed_key, philox_stream
 from .stats import (
     SE_SLACK,
     MonteCarloConfig,
+    _chain_sizes,
     bound_audit,
     decay_moment_fit,
     estimate_ids,
     fit_loglog_slope,
+    gamma_chain_check,
     gamma_marginal_test,
     laplace_audit,
     martingale_check,
@@ -138,14 +140,7 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 def _mc_config(args: argparse.Namespace) -> MonteCarloConfig:
     try:
-        return MonteCarloConfig(
-            n_samples=args.samples,
-            seed=args.seed,
-            chains=args.chains,
-            sampler=args.sampler,
-            burn_in=args.burn_in,
-            thinning=args.thinning,
-        )
+        return MonteCarloConfig(n_samples=args.samples, seed=args.seed, chains=args.chains)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -173,12 +168,7 @@ def _finish(args, command: str, results, passed: bool, seeds: dict) -> int:
 def _add_mc_options(p: argparse.ArgumentParser, samples: int) -> None:
     p.add_argument("--samples", type=int, default=samples, help="total retained samples")
     p.add_argument("--seed", type=int, default=0, help="master seed (RSO_SEED overrides)")
-    p.add_argument("--chains", type=int, default=1, help="independent sampler chains")
-    p.add_argument(
-        "--sampler", choices=("exact", "gibbs"), default="exact", help="field sampler"
-    )
-    p.add_argument("--burn-in", type=int, default=500, help="Gibbs burn-in sweeps")
-    p.add_argument("--thinning", type=int, default=10, help="Gibbs sweeps between samples")
+    p.add_argument("--chains", type=int, default=1, help="independent exact-sampler chains")
 
 
 # ---------------------------------------------------------------------------
@@ -234,20 +224,15 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             f"{MAX_DUMP_ROWS} rows; reduce --samples or the box size"
         )
 
-    sizes = [args.samples // chains + (1 if c < args.samples % chains else 0) for c in range(chains)]
     blocks = []
-    for chain, n_chain in enumerate(sizes):
+    for chain, n_chain in enumerate(_chain_sizes(args.samples, chains)):
         if n_chain == 0:
             continue
         if args.sampler == "exact":
             blocks.append(sample_beta_batch(g, n_chain, philox_stream(seed, chain)))
         else:
             cfg = SamplerConfig(
-                seed=seed,
-                burn_in=burn_in,
-                thinning=thinning,
-                chains=chains,
-                refresh_every=refresh_every,
+                seed=seed, burn_in=burn_in, thinning=thinning, refresh_every=refresh_every
             )
             blocks.append(gibbs_chain(g, cfg, n_chain, chain=chain))
     betas = np.concatenate(blocks, axis=0)
@@ -543,6 +528,14 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     add("gamma_mean_dev_se", gamma["mean_dev_se"], 3.0, gamma["mean_dev_se"] <= 3.0)
     add("gamma_var_dev_se", gamma["var_dev_se"], 4.0, gamma["var_dev_se"] <= 4.0)
     add("gamma_ks", gamma["ks_distance"], gamma_ks_tol, gamma["ks_distance"] < gamma_ks_tol)
+
+    # Gibbs cross-check of the same marginal at fixed sizes: 2 chains of 750
+    # thinned draws are correlated, so the mean's SE comes from batch means.
+    gibbs = SamplerConfig(seed=seed + 5, burn_in=200, thinning=4)
+    chains = [gibbs_chain(g_path, gibbs, 750, chain=c) for c in range(2)]
+    rep = gamma_chain_check(g_path, chains)
+    add("gibbs_gamma_mean_dev_se", rep["mean_dev_se"], SE_SLACK, rep["mean_dev_se"] <= SE_SLACK)
+    add("gibbs_gamma_ks", rep["ks_distance"], 0.08, rep["ks_distance"] < 0.08)
 
     # Reciprocal-inverse-Gaussian moments and distribution.  The KS threshold
     # scales as 1/sqrt(n); at the default 1e6 draws it is exactly the

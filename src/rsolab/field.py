@@ -26,8 +26,10 @@ Two samplers are provided:
   in O(n b^2) per sample with b the largest index gap of an edge (b = 1 on
   a path).
 * :func:`sample_field` / :func:`gibbs_sweep` — Markov chain with exact
-  single-site conditionals and a rank-one-maintained Green matrix, kept for
-  cross-validation and conditional-law diagnostics.
+  single-site conditionals and a rank-one-maintained Green matrix.  No
+  estimator uses it; it is kept for ``rso sample --sampler gibbs``, the
+  batch-means cross-check in ``rso validate`` and the conditional-law
+  test C4.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .graphs import DENSE_MAX, WeightedGraph
 from .rig import sample_rig
+from .rng import philox_stream
 
 __all__ = [
     "BetaField",
@@ -109,7 +112,6 @@ class SamplerConfig:
     seed: int = 0
     burn_in: int = 500
     thinning: int = 10
-    chains: int = 1
     refresh_every: int | None = None
 
     def __post_init__(self):
@@ -117,8 +119,6 @@ class SamplerConfig:
             raise ValueError("burn_in must be >= 0")
         if self.thinning < 1:
             raise ValueError("thinning must be >= 1")
-        if self.chains < 1:
-            raise ValueError("chains must be >= 1")
         if self.refresh_every is not None and self.refresh_every < 1:
             raise ValueError("refresh_every must be >= 1")
 
@@ -267,12 +267,7 @@ def gibbs_sweep(f: BetaField, state: GreenState, rng: np.random.Generator) -> Be
     return BetaField(graph=g, beta=beta, w=f.w, provenance=f.provenance)
 
 
-def sample_field(
-    g: WeightedGraph,
-    cfg: SamplerConfig,
-    rng: np.random.Generator | None = None,
-    chain: int = 0,
-) -> Iterator[BetaField]:
+def sample_field(g: WeightedGraph, cfg: SamplerConfig, chain: int = 0) -> Iterator[BetaField]:
     """Infinite stream of Gibbs samples: burn in, then every thinning-th sweep.
 
     Deterministic given (cfg.seed, chain).  The first yielded field (like all
@@ -280,10 +275,7 @@ def sample_field(
     """
     if g.n_vertices == 0:
         raise ValueError("empty graph")
-    if rng is None:
-        from .rng import philox_stream
-
-        rng = philox_stream(cfg.seed, chain)
+    rng = philox_stream(cfg.seed, chain)
     refresh = cfg.refresh_every if cfg.refresh_every is not None else g.n_vertices
     beta = initial_beta(g)
     f = BetaField(graph=g, beta=beta, provenance=f"gibbs seed={cfg.seed} chain={chain}")

@@ -1,12 +1,15 @@
 """Monte-Carlo estimators and quantitative audits.
 
-Every estimator follows the same protocol: draw fields chain by chain (exact
-sampler by default, Gibbs on request), evaluate a per-sample statistic vector
-in fixed-size slices, and reduce (count, sum, centred sum of squares) in
-slice and chain order.  The slice sizes are fixed functions of the graph
-size, so a rerun with the same configuration and seed reproduces every
-draw — and therefore every report — bit for bit.  Chains run one after
-another in chain order, so no output depends on the machine's core count.
+Every estimator follows the same protocol: draw exact i.i.d. fields chain by
+chain, evaluate a per-sample statistic vector in fixed-size slices, and
+reduce (count, sum, centred sum of squares) in slice and chain order.  The
+draws are independent, so every reported standard error is valid by
+construction; correlated Gibbs chains enter only :func:`gamma_chain_check`,
+whose SE comes from :func:`batch_means`.  The slice sizes are fixed
+functions of the graph size, so a rerun with the same configuration and
+seed reproduces every draw — and therefore every report — bit for bit.
+Chains run one after another in chain order, so no output depends on the
+machine's core count.
 
 Audits compare estimates against closed-form bounds with a uniform 3-standard
 -error slack and never mutate the underlying data.
@@ -17,11 +20,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 from scipy.special import gammainc
 
-from .field import SamplerConfig, laplace_exact, sample_beta_batch, sample_field
+from .field import laplace_exact, sample_beta_batch
 from .graphs import WeightedGraph, build_box, remove_vertex
 from .operators import (
     FactorizationError,
@@ -45,6 +50,8 @@ __all__ = [
     "decay_moment_fit",
     "localization_event_probabilities",
     "gamma_marginal_test",
+    "gamma_chain_check",
+    "batch_means",
     "laplace_audit",
     "ward_moment_check",
     "martingale_check",
@@ -109,26 +116,20 @@ class DecayFit:
 
 @dataclass(frozen=True)
 class MonteCarloConfig:
-    """How estimators draw their samples.
+    """How estimators draw their samples: n_samples exact i.i.d. fields in all.
 
-    n_samples is the total across chains, which run serially in chain
-    order; the exact sampler ignores burn_in and thinning.
+    The chains run serially in chain order, each on its own random stream.
     """
 
     n_samples: int
     seed: int = 0
     chains: int = 1
-    sampler: str = "exact"
-    burn_in: int = 500
-    thinning: int = 10
 
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError("n_samples must be positive")
         if self.chains < 1:
             raise ValueError("chains must be positive")
-        if self.sampler not in ("exact", "gibbs"):
-            raise ValueError(f"unknown sampler {self.sampler!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -149,35 +150,16 @@ def _slice_size(n_vertices: int, dense: bool) -> int:
     return int(min(_MAX_SLICE, max(1, per)))
 
 
-def _iter_chain_slices(g: WeightedGraph, cfg: MonteCarloConfig, dense: bool):
-    """For each chain, in chain order, an iterator over its beta slices."""
+def _chain_slices(g: WeightedGraph, cfg: MonteCarloConfig, dense: bool):
+    """Yield (chain, slice) pairs of exact (b, n) beta slices in chain order.
+
+    Each chain draws from its own stream at a fixed slice cadence.
+    """
     size = _slice_size(g.n_vertices, dense)
     for chain, n_chain in enumerate(_chain_sizes(cfg.n_samples, cfg.chains)):
-        yield _chain_slices(g, cfg, chain, n_chain, size)
-
-
-def _chain_slices(g: WeightedGraph, cfg: MonteCarloConfig, chain: int, n_chain: int, size: int):
-    """Yield (b, n) beta slices for one chain, at a fixed cadence, from its own stream."""
-    if cfg.sampler == "exact":
         rng = philox_stream(cfg.seed, chain)
-        done = 0
-        while done < n_chain:
-            b = min(size, n_chain - done)
-            yield sample_beta_batch(g, b, rng)
-            done += b
-    else:
-        scfg = SamplerConfig(
-            seed=cfg.seed, burn_in=cfg.burn_in, thinning=cfg.thinning, chains=cfg.chains
-        )
-        stream = sample_field(g, scfg, chain=chain)
-        done = 0
-        while done < n_chain:
-            b = min(size, n_chain - done)
-            block = np.empty((b, g.n_vertices))
-            for i in range(b):
-                block[i] = next(stream).beta
-            yield block
-            done += b
+        for done in range(0, n_chain, size):
+            yield chain, sample_beta_batch(g, min(size, n_chain - done), rng)
 
 
 def _run_chains(g: WeightedGraph, cfg: MonteCarloConfig, eval_slice, k: int, dense: bool):
@@ -188,9 +170,9 @@ def _run_chains(g: WeightedGraph, cfg: MonteCarloConfig, eval_slice, k: int, den
     """
     empty = (0, np.zeros(k), np.zeros(k))
     total = empty
-    for slices in _iter_chain_slices(g, cfg, dense):
+    for _, slices in groupby(_chain_slices(g, cfg, dense), key=itemgetter(0)):
         acc = empty
-        for block in slices:
+        for _, block in slices:
             vals = eval_slice(block)
             s = vals.sum(axis=0)
             centred = vals - s / vals.shape[0]
@@ -220,9 +202,23 @@ def _merge_moments(a, b):
 
 def _collect_values(g: WeightedGraph, cfg: MonteCarloConfig, eval_slice, dense: bool) -> np.ndarray:
     """All per-sample scalar values, in chain order (for KS-style tests)."""
-    return np.concatenate(
-        [eval_slice(block) for slices in _iter_chain_slices(g, cfg, dense) for block in slices]
-    )
+    return np.concatenate([eval_slice(block) for _, block in _chain_slices(g, cfg, dense)])
+
+
+def batch_means(chains) -> tuple[float, float]:
+    """Mean and standard error of correlated draws, by batch means.
+
+    Each chain, in draw order, is cut into consecutive batches of
+    floor(sqrt(n_chain)) draws, dropping a trailing partial batch; the batch
+    means of all chains are then treated as independent (Geyer 1992; Flegal
+    and Jones 2010), so autocorrelation within a batch enters the SE.
+    """
+    means = []
+    for x in chains:
+        size = math.isqrt(x.size)
+        means.append(x[: x.size - x.size % size].reshape(-1, size).mean(axis=1))
+    means = np.concatenate(means)
+    return float(means.mean()), float(means.std(ddof=1) / math.sqrt(means.size))
 
 
 def _dense_batch(g: WeightedGraph, betas: np.ndarray, bc: str, scaled: bool, w: float) -> np.ndarray:
@@ -252,6 +248,12 @@ def _green_solve(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.solve(mats, np.broadcast_to(rhs, (mats.shape[0], *rhs.shape)))
     except np.linalg.LinAlgError as exc:
         raise FactorizationError("singular operator in a sampled slice") from exc
+
+
+def _pinning_rate(g: WeightedGraph, betas: np.ndarray, vertex: int) -> np.ndarray:
+    """1/(2 G(v,v)) with G = (2 beta - W)^{-1}, one value per row of betas."""
+    mats = _dense_batch(g, betas, bc="simple", scaled=False, w=1.0)
+    return 0.5 / _green_solve(mats, np.eye(g.n_vertices)[:, [vertex]])[:, vertex, 0]
 
 
 def _green_ratio(g: WeightedGraph, betas: np.ndarray, s: int, t: int) -> np.ndarray:
@@ -599,6 +601,13 @@ def localization_event_probabilities(
 # ---------------------------------------------------------------------------
 
 
+def _gamma_ks(xs: np.ndarray) -> float:
+    """Kolmogorov-Smirnov distance of xs from Gamma(1/2, 1)."""
+    from scipy.stats import kstest
+
+    return float(kstest(xs, lambda t: gammainc(0.5, t)).statistic)
+
+
 def gamma_marginal_test(g: WeightedGraph, cfg: MonteCarloConfig, vertex: int = 0) -> dict:
     """Distribution of the diagonal rate 1/(2 M^{-1}(v,v)) under zero eta.
 
@@ -609,16 +618,8 @@ def gamma_marginal_test(g: WeightedGraph, cfg: MonteCarloConfig, vertex: int = 0
         raise ValueError("the Gamma-marginal statement needs a zero boundary field")
     if not 0 <= vertex < g.n_vertices:
         raise ValueError("vertex out of range")
-    from scipy.stats import kstest
 
-    w = g.uniform_weight if g.uniform_weight is not None else 1.0
-    rhs = np.eye(g.n_vertices)[:, [vertex]]
-
-    def eval_slice(betas: np.ndarray) -> np.ndarray:
-        mats = _dense_batch(g, betas, bc="simple", scaled=False, w=w)
-        return 0.5 / _green_solve(mats, rhs)[:, vertex, 0]
-
-    xs = _collect_values(g, cfg, eval_slice, dense=True)
+    xs = _collect_values(g, cfg, partial(_pinning_rate, g, vertex=vertex), dense=True)
     n = xs.size
     mean = float(xs.mean())
     se_mean = float(xs.std(ddof=1) / math.sqrt(n))
@@ -626,14 +627,26 @@ def gamma_marginal_test(g: WeightedGraph, cfg: MonteCarloConfig, vertex: int = 0
     var = float(np.sum(centered**2) / (n - 1))
     m4 = float(np.mean(centered**4))
     se_var = math.sqrt(max(m4 - var * var, 0.0) / n)
-    ks = float(kstest(xs, lambda t: gammainc(0.5, t)).statistic)
     return {
         "mean": EstimateWithCI(mean, se_mean, n, cfg.seed),
         "variance": EstimateWithCI(var, se_var, n, cfg.seed),
         "mean_dev_se": abs(mean - 0.5) / se_mean if se_mean > 0 else math.inf,
         "var_dev_se": abs(var - 0.5) / se_var if se_var > 0 else math.inf,
-        "ks_distance": ks,
+        "ks_distance": _gamma_ks(xs),
     }
+
+
+def gamma_chain_check(g: WeightedGraph, chains) -> dict:
+    """The Gamma(1/2, 1) law of 1/(2 M^{-1}(0,0)) on correlated chains of fields.
+
+    g needs a zero boundary field, as in :func:`gamma_marginal_test`; chains
+    holds one (n_k, n) array of fields per chain, in draw order, as
+    :func:`~rsolab.field.gibbs_chain` returns them.  The mean's SE comes
+    from :func:`batch_means`, so it stays valid under autocorrelation.
+    """
+    xs = [_pinning_rate(g, betas, 0) for betas in chains]
+    mean, se = batch_means(xs)
+    return {"mean_dev_se": abs(mean - 0.5) / se, "ks_distance": _gamma_ks(np.concatenate(xs))}
 
 
 def laplace_audit(g: WeightedGraph, lam_vectors, cfg: MonteCarloConfig) -> dict:

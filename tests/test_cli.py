@@ -52,6 +52,19 @@ class TestParsing:
         assert "unrecognized arguments: --workers" in capsys.readouterr().err
         assert not (tmp_path / "ids.csv").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("ids", "--d", "1", "--L", "5", "--W", "1.0", "--samples", "10", "--sampler", "gibbs"),
+            ("monotonicity", "--vertices", "2", "--samples", "10", "--burn-in", "5"),
+        ],
+    )
+    def test_removed_gibbs_flags_are_rejected(self, tmp_path, capsys, argv):
+        # estimators draw exact samples only; Gibbs flags belong to `sample`
+        assert run(tmp_path, *argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_missing_required_flag(self, capsys):
         assert main(["ids", "--d", "1"]) == 1  # --L and --W missing
         capsys.readouterr()
@@ -266,6 +279,7 @@ class TestValidate:
         assert any(n.startswith("laplace") for n in names)
         assert any(n.startswith("rig_ks") for n in names)
         assert any(n.startswith("identity_rel") for n in names)
+        assert {"gibbs_gamma_mean_dev_se", "gibbs_gamma_ks"} <= set(names)
 
     def test_graph_roundtrip_check(self, tmp_path, capsys):
         g = build_grid((2, 2), 1.0, boundary="wired")
