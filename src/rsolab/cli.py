@@ -216,6 +216,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     refresh_every = pick("refresh_every", None)
     if chains < 1:
         raise ConfigError("chains must be positive")
+    # validated for both samplers, since the summary reports these settings
+    cfg = SamplerConfig(seed=seed, burn_in=burn_in, thinning=thinning, refresh_every=refresh_every)
 
     g = build_box(args.d, args.half_side, w=args.w, boundary=args.boundary)
     if args.samples * g.n_vertices > MAX_DUMP_ROWS:
@@ -231,9 +233,6 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         if args.sampler == "exact":
             blocks.append(sample_beta_batch(g, n_chain, philox_stream(seed, chain)))
         else:
-            cfg = SamplerConfig(
-                seed=seed, burn_in=burn_in, thinning=thinning, refresh_every=refresh_every
-            )
             blocks.append(gibbs_chain(g, cfg, n_chain, chain=chain))
     betas = np.concatenate(blocks, axis=0)
 

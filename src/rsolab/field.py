@@ -30,6 +30,11 @@ Two samplers are provided:
   estimator uses it; it is kept for ``rso sample --sampler gibbs``, the
   batch-means cross-check in ``rso validate`` and the conditional-law
   test C4.
+
+:func:`quadrature_oracle` integrates against the density on graphs of up
+to three vertices, in the pivot variables y_k of the same elimination:
+the exact sampler's bordering kernel, given the pivots instead of drawing
+them, maps y to beta and to <eta, M^-1 eta>.
 """
 
 from __future__ import annotations
@@ -312,17 +317,16 @@ def gibbs_chain(
 
 
 def _band_plan(g: WeightedGraph):
-    """Tables for :func:`_sample_band_batch`, vectorized over edges.
+    """Tables for :func:`_border_band`, vectorized over edges.
 
-    Returns (b, nbrs, f, c, has_c): the bandwidth b = max(j - i) over the
-    edges (1 if none); per vertex k, its forward neighbors as (window slot
-    j - k - 1, weight) pairs, with one of weight 0 standing in for none;
+    Returns (b, nbrs, f, c, has_c): the bandwidth b = ``g.bandwidth``; per
+    vertex k, its forward neighbors as (window slot j - k - 1, weight)
+    pairs, with one of weight 0 standing in for none;
     f[k] = eta_k + sum_{m<k} w_mk; and c[k, i] = sum_{m<k} w_{m,k+1+i}.
     """
-    n = g.n_vertices
+    n, b = g.n_vertices, g.bandwidth
     lo, hi = g.edges[:, 0], g.edges[:, 1]
     span = hi - lo
-    b = int(span.max()) if span.size else 1
     f = (g.eta + np.bincount(hi, weights=g.weights, minlength=n)).tolist()
     # edge (m, j) adds w_mj to c[k, j - k - 1] for every m < k < j
     reps = span - 1
@@ -344,18 +348,23 @@ def _forward_sum(rows: np.ndarray, nbrs, out=None) -> np.ndarray:
     return out
 
 
-def _sample_band_batch(g: WeightedGraph, plan, n_samples: int, rng: np.random.Generator) -> np.ndarray:
-    """Exact draws by banded bordering: O(b^2) work per vertex, vectorized.
+def _border_band(g: WeightedGraph, plan, n_samples: int, pivot: Callable, q=None) -> np.ndarray:
+    """Banded bordering elimination: O(b^2) work per vertex, vectorized.
 
-    Vertices are eliminated in index order, so sampling runs from n-1 down.
-    Every neighbor j > k of vertex k lies in the window k+1 .. k+b, so each
-    sample carries only the window block ``green`` of the suffix Green
-    matrix G_{>k} and the window part ``t`` of G_{>k} eta.  With u = green
-    w_k, the Schur term is w_k'u and the conditional parameter
-    a_k = f_k + w_k't + u'c_k is a sum of nonnegative terms (G_{>k} is
-    entrywise nonnegative), so it never cancels below zero.  After drawing
-    y the window gains vertex k by bordering with pivot 1/y and drops
-    vertex k+b.  At b = 1 this is the O(n) path recursion.
+    Vertices are eliminated in index order, so the pivots y_k = 2 beta_k -
+    w_k' G_{>k} w_k (the Schur complements) are visited from n-1 down, and
+    ``pivot(k, a)`` supplies y_k as an array over the samples: the sampler
+    draws it from the RIG law with parameter a_k, the quadrature reads it
+    from its grid.  Every neighbor j > k of vertex k lies in the window
+    k+1 .. k+b, so each sample carries only the window block ``green`` of
+    the suffix Green matrix G_{>k} and the window part ``t`` of G_{>k} eta.
+    With u = green w_k, the Schur term is w_k'u and a_k = f_k + w_k't +
+    u'c_k is a sum of nonnegative terms (G_{>k} is entrywise nonnegative),
+    so it never cancels below zero.  After taking y the window gains vertex
+    k by bordering with pivot 1/y and drops vertex k+b.  At b = 1 this is
+    the O(n) path recursion.  Returns beta, shape (n_samples, n); when an
+    array ``q`` is given, <eta, M^-1 eta> = sum_k s_k^2 / y_k, with
+    s_k = eta_k + w_k't, is added into it.
     """
     b, nbrs, f, c, has_c = plan
     eta = g.eta.tolist()
@@ -372,11 +381,14 @@ def _sample_band_batch(g: WeightedGraph, plan, n_samples: int, rng: np.random.Ge
         a = f[k] + wt
         if has_c[k]:
             a += c[k] @ u
-        y = sample_rig(a, rng)
+        y = pivot(k, a)
         np.add(y, _forward_sum(u, nbrs[k]), out=beta[:, k])
         ry = r / y
         np.multiply(ry[:, None], r[None], out=green_next)
-        np.multiply(ry, eta[k] + wt, out=t_next)
+        s = eta[k] + wt
+        np.multiply(ry, s, out=t_next)
+        if q is not None:
+            q += s * t_next[0]  # t_next[0] = s / y
         if b > 1:
             green_next[1:, 1:] += green[:-1, :-1]
             t_next[1:] += t[:-1]
@@ -399,7 +411,7 @@ def sample_beta_batch(g: WeightedGraph, n_samples: int, rng: np.random.Generator
     plan = _band_plan(g)
     chunk = max(1, BATCH_SCALARS // max(g.n_vertices, plan[0] ** 2))
     parts = [
-        _sample_band_batch(g, plan, min(chunk, n_samples - start), rng)
+        _border_band(g, plan, min(chunk, n_samples - start), lambda k, a: sample_rig(a, rng))
         for start in range(0, n_samples, chunk)
     ]
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
@@ -420,70 +432,21 @@ _PANEL_EDGES = np.array([0.0, 0.3, 0.6, 1.0, 1.4, 1.9, 2.5, 3.2, 4.0, 5.0, 6.5, 
 _QUAD_CHUNK = 200_000
 
 
-def _pivots_to_field(
-    y: np.ndarray, wmat: np.ndarray, eta: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _pivots_to_field(g: WeightedGraph, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Map pivot variables y (M, n) to (beta, <eta, inverse(M) eta>).
 
     The change of variables is triangular — beta_k = (y_k + S_k(beta_{>k}))/2
     with S_k the Schur coupling through the suffix block — so its Jacobian is
     2^{-n}, y > 0 exactly parametrizes the positive-definiteness region, and
-    det = prod_k y_k.  The inverse is grown by bordering with pivots 1/y_k
-    (unrolled for n <= 3), which stays finite even at grid corners where an
-    LU factorization of the assembled matrix would be numerically singular
-    (the huge quadratic form correctly drives the density weight to zero).
+    det = prod_k y_k.  It is the sampler's bordering elimination with the
+    pivots read instead of drawn, which stays finite even at grid corners
+    where an LU factorization of the assembled matrix would be numerically
+    singular (the huge quadratic form correctly drives the density weight
+    to zero).
     """
-    m_pts, n = y.shape
-    has_eta = bool(np.any(eta))
-    if n == 1:
-        beta = 0.5 * y
-        q_eta = (eta[0] * eta[0]) / y[:, 0] if has_eta else np.zeros(m_pts)
-        return beta, q_eta
-    if n == 2:
-        w01 = wmat[0, 1]
-        y0, y1 = y[:, 0], y[:, 1]
-        u = w01 / y1
-        beta = np.stack((0.5 * (y0 + w01 * u), 0.5 * y1), axis=1)
-        if has_eta:
-            g00 = 1.0 / y0
-            g01 = u / y0
-            g11 = 1.0 / y1 + u * u / y0
-            q_eta = eta[0] * eta[0] * g00 + 2.0 * eta[0] * eta[1] * g01 + eta[1] * eta[1] * g11
-        else:
-            q_eta = np.zeros(m_pts)
-        return beta, q_eta
-    if n == 3:
-        w01, w02, w12 = wmat[0, 1], wmat[0, 2], wmat[1, 2]
-        y0, y1, y2 = y[:, 0], y[:, 1], y[:, 2]
-        # suffix {2}: pivot 1/y2; border vertex 1 with coupling w12
-        u1 = w12 / y2
-        # suffix {1,2} inverse: entries after bordering with pivot 1/y1
-        g11 = 1.0 / y1
-        g12 = u1 / y1
-        g22 = 1.0 / y2 + u1 * u1 / y1
-        # border vertex 0 with coupling (w01, w02)
-        u0a = g11 * w01 + g12 * w02
-        u0b = g12 * w01 + g22 * w02
-        s0 = u0a * w01 + u0b * w02
-        beta = np.stack((0.5 * (y0 + s0), 0.5 * (y1 + w12 * u1), 0.5 * y2), axis=1)
-        if has_eta:
-            g00 = 1.0 / y0
-            g01 = u0a / y0
-            g02 = u0b / y0
-            h11 = g11 + u0a * u0a / y0
-            h12 = g12 + u0a * u0b / y0
-            h22 = g22 + u0b * u0b / y0
-            e0, e1, e2 = eta
-            q_eta = (
-                e0 * e0 * g00
-                + e1 * e1 * h11
-                + e2 * e2 * h22
-                + 2.0 * (e0 * e1 * g01 + e0 * e2 * g02 + e1 * e2 * h12)
-            )
-        else:
-            q_eta = np.zeros(m_pts)
-        return beta, q_eta
-    raise ValueError("pivot parametrization implemented for n <= 3")
+    q = np.zeros(y.shape[0])
+    beta = _border_band(g, _band_plan(g), y.shape[0], lambda k, a: y[:, k], q)
+    return beta, q
 
 
 def _log_density_batch(
@@ -504,7 +467,6 @@ def _eval_grid(
 ) -> float:
     """Tensor-product integral of integrand * density over the support."""
     n = g.n_vertices
-    wmat = g.weight_matrix()
     shape = (nodes_1d.size,) * n
     n_pts = nodes_1d.size**n
     total = 0.0
@@ -515,7 +477,7 @@ def _eval_grid(
         s = np.stack([nodes_1d[i] for i in idx], axis=1)
         wq = np.prod(np.stack([weights_1d[i] for i in idx], axis=1), axis=1)
         y = s * s
-        beta, q_eta = _pivots_to_field(y, wmat, g.eta)
+        beta, q_eta = _pivots_to_field(g, y)
         log_piv = 2.0 * np.sum(np.log(s), axis=1)
         logrho = _log_density_batch(g, beta, q_eta, log_piv)
         vals = _call_integrand(integrand, beta)
@@ -547,7 +509,9 @@ def quadrature_oracle(
     (absolute), the budget is deemed insufficient and
     :class:`QuadratureBudgetError` is raised.
 
-    Independent of every sampler: only the density formula enters.
+    Independent of the samplers' draws: the weights come from the closed
+    density formula; what it shares with the exact sampler is the change of
+    variables, the same bordering kernel with the pivots read from the grid.
     """
     n = g.n_vertices
     if not 1 <= n <= 3:

@@ -163,6 +163,11 @@ class WeightedGraph:
         return bool(np.array_equal(self.edges, want))
 
     @cached_property
+    def bandwidth(self) -> int:
+        """Largest index gap j - i over the edges (1 if there are none)."""
+        return int((self.edges[:, 1] - self.edges[:, 0]).max()) if self.n_edges else 1
+
+    @cached_property
     def center_index(self) -> int:
         """Index of the coordinate origin (boxes) / middle vertex (odd grids)."""
         if self.shape is None:

@@ -6,11 +6,13 @@ M = 2*diag(beta) - W ("simple" boundary condition).  On a box in Z^d the
 which dominates the simple form as a quadratic form.  The "scaled" form
 divides everything by the uniform coupling w.
 
-Eigenvalue counting below a threshold is exact up to floating comparison:
-Sturm pivot recursion on tridiagonal (path) operators, Householder
-tridiagonalization plus Sturm for general dense ones, and an LDL'-inertia
-fast path.  Ties at the threshold count as below (the spectra encountered
-here are absolutely continuous, so ties occur only in hand-built examples).
+Eigenvalue counting below a threshold is exact up to floating comparison,
+with one counter per graph class: the Sturm pivot recursion on tridiagonal
+(path) operators, and Householder tridiagonalization followed by the same
+recursion on every other graph.  Ties at the threshold count as below (the
+spectra encountered here are absolutely continuous, so ties occur only in
+hand-built examples).  Green solves factor the operator once by banded
+Cholesky at the graph's bandwidth.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from scipy.linalg import (
     LinAlgError,
     cho_factor,
     cho_solve,
+    cho_solve_banded,
+    cholesky_banded,
     get_lapack_funcs,
-    ldl,
-    solveh_banded,
 )
 
 from .field import BetaField
@@ -33,7 +35,6 @@ from .graphs import DENSE_MAX, WeightedGraph
 
 __all__ = [
     "OperatorMatrix",
-    "SpectralCount",
     "FactorizationError",
     "ResidualError",
     "assemble",
@@ -52,7 +53,8 @@ __all__ = [
     "dump_matrix",
 ]
 
-#: Largest dense eigenproblem/solve accepted; path graphs are unbounded.
+#: Largest dense operator accepted (dense form, full inverse, counting on
+#: non-path graphs); path counts and Green solves are unbounded.
 DENSE_CUTOFF = DENSE_MAX
 
 #: Residual guarantee for Green solves (infinity norm, after one refinement).
@@ -130,13 +132,6 @@ class OperatorMatrix:
         return out
 
 
-@dataclass(frozen=True)
-class SpectralCount:
-    threshold: float
-    count: int
-    method: str
-
-
 def operator_from_two_beta(
     graph: WeightedGraph,
     two_beta: np.ndarray,
@@ -210,67 +205,6 @@ def _tridiagonalize(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d, e
 
 
-def _inertia_count(dense: np.ndarray, energy: float) -> int:
-    """#{eigenvalues <= energy} from the LDL' inertia of (M - energy*I).
-
-    Zero 1x1 pivots and zero-determinant 2x2 blocks mean an eigenvalue sits
-    exactly at the threshold; it is counted (<= semantics).
-    """
-    n = dense.shape[0]
-    shifted = dense - energy * np.eye(n)
-    _, d, _ = ldl(shifted, lower=True)
-    count = 0
-    k = 0
-    while k < n:
-        if k + 1 < n and d[k, k + 1] != 0.0:
-            a, b, c = d[k, k], d[k, k + 1], d[k + 1, k + 1]
-            det = a * c - b * b
-            tr = a + c
-            if det < 0:
-                count += 1
-            elif det > 0:
-                count += 2 if tr < 0 else 0
-            else:
-                count += 1 + (1 if tr < 0 else 0)
-            k += 2
-        else:
-            piv = d[k, k]
-            if piv <= 0:
-                count += 1
-            k += 1
-    return count
-
-
-def count_eigenvalues_leq(m: OperatorMatrix, energy: float, method: str | None = None) -> SpectralCount:
-    """Exact count of eigenvalues <= energy.
-
-    method: None (auto: Sturm for paths, inertia otherwise, dense as the
-    inertia fallback), or one of "sturm", "dense", "inertia".
-    """
-    energy = float(energy)
-    if method is None:
-        method = "sturm" if m.graph.is_path else "inertia"
-    method = method.lower()
-    if method == "sturm":
-        d, e = m.tridiagonal
-        return SpectralCount(energy, int(sturm_counts_batch(d[None], e, [energy])[0, 0]), "sturm")
-    if m.n > DENSE_CUTOFF:
-        raise ValueError(
-            f"eigenvalue counting on a non-path graph with n={m.n} exceeds the "
-            f"dense cutoff {DENSE_CUTOFF}"
-        )
-    if method == "dense":
-        d, e = _tridiagonalize(m.to_dense())
-        return SpectralCount(energy, int(sturm_counts_batch(d[None], e, [energy])[0, 0]), "dense")
-    if method == "inertia":
-        try:
-            return SpectralCount(energy, _inertia_count(m.to_dense(), energy), "inertia")
-        except LinAlgError:
-            d, e = _tridiagonalize(m.to_dense())
-            return SpectralCount(energy, int(sturm_counts_batch(d[None], e, [energy])[0, 0]), "dense")
-    raise ValueError(f"unknown counting method {method!r}")
-
-
 def count_eigenvalues_many(m: OperatorMatrix, energies) -> np.ndarray:
     """Counts for a whole energy grid, reusing one tridiagonal reduction."""
     energies = np.asarray(energies, dtype=float).reshape(-1)
@@ -286,9 +220,14 @@ def count_eigenvalues_many(m: OperatorMatrix, energies) -> np.ndarray:
     return sturm_counts_batch(d[None, :], e, energies)[0]
 
 
+def count_eigenvalues_leq(m: OperatorMatrix, energy: float) -> int:
+    """Exact count of eigenvalues <= energy, by :func:`count_eigenvalues_many`."""
+    return int(count_eigenvalues_many(m, [energy])[0])
+
+
 def finite_volume_ids(m: OperatorMatrix, energy: float) -> float:
     """Eigenvalue counting measure per vertex: count(<= E) / n, in [0, 1]."""
-    return count_eigenvalues_leq(m, energy).count / m.n
+    return count_eigenvalues_leq(m, energy) / m.n
 
 
 # ---------------------------------------------------------------------------
@@ -306,38 +245,28 @@ def _inf_norm(m: OperatorMatrix) -> float:
 
 
 def _solve_refined(m: OperatorMatrix, rhs: np.ndarray) -> np.ndarray:
-    """SPD solve with iterative refinement and a residual check.
+    """SPD solve by banded Cholesky, with iterative refinement and a residual check.
 
+    The factor is stored at the graph's bandwidth, so a path costs O(n).
     The residual must reach 1e-10, relaxed by the backward-stability floor
     (a small multiple of eps * |M|_inf * |x|_inf): below that floor the
     residual cannot even be evaluated reliably in double precision, which
     matters when the solution is legitimately huge (near-singular samples).
     """
-    n = m.n
-    if m.graph.is_path and n > DENSE_CUTOFF:
-        ab = np.zeros((2, n))
-        ab[0] = m.diag
-        ab[1, : n - 1] = m.offdiag
-        x = solveh_banded(ab, rhs, lower=True, check_finite=False)
-        for _ in range(3):
-            resid_vec = rhs - m.matvec(x)
-            if np.max(np.abs(resid_vec)) <= GREEN_RESIDUAL_TOL:
-                break
-            x = x + solveh_banded(ab, resid_vec, lower=True, check_finite=False)
-    else:
-        if n > DENSE_CUTOFF:
-            raise ValueError(f"dense Green solve refused for n={n} > {DENSE_CUTOFF}")
-        dense = m.to_dense()
-        try:
-            c = cho_factor(dense, lower=True, check_finite=False)
-        except LinAlgError as exc:
-            raise FactorizationError("operator is not positive definite") from exc
-        x = cho_solve(c, rhs, check_finite=False)
-        for _ in range(3):
-            resid_vec = rhs - dense @ x
-            if np.max(np.abs(resid_vec)) <= GREEN_RESIDUAL_TOL:
-                break
-            x = x + cho_solve(c, resid_vec, check_finite=False)
+    lo, hi = m.graph.edges[:, 0], m.graph.edges[:, 1]
+    ab = np.zeros((m.graph.bandwidth + 1, m.n))
+    ab[0] = m.diag
+    ab[hi - lo, lo] = m.offdiag
+    try:
+        c = (cholesky_banded(ab, lower=True, check_finite=False), True)
+    except LinAlgError as exc:
+        raise FactorizationError("operator is not positive definite") from exc
+    x = cho_solve_banded(c, rhs, check_finite=False)
+    for _ in range(3):
+        resid_vec = rhs - m.matvec(x)
+        if np.max(np.abs(resid_vec)) <= GREEN_RESIDUAL_TOL:
+            break
+        x = x + cho_solve_banded(c, resid_vec, check_finite=False)
     resid = np.max(np.abs(rhs - m.matvec(x)))
     floor = 8.0 * np.finfo(float).eps * _inf_norm(m) * np.max(np.abs(x))
     if not resid <= max(GREEN_RESIDUAL_TOL, floor):

@@ -227,27 +227,25 @@ def test_c10_critical_couplings():
 
 
 def test_c11_cross_method_eigenvalue_counts():
-    # 200 fixed random instances <= 144 vertices: all counting methods agree
+    # 200 fixed random instances <= 144 vertices: the counter (Sturm on the
+    # paths, Householder + Sturm on the grids) agrees with eigvalsh
     rng = philox_stream(1111)
     checked = 0
     for k in range(200):
         if k % 2 == 0:
             n = int(rng.integers(2, 25))
             g = build_grid((n,), w=float(rng.uniform(0.3, 2.0)), boundary="wired")
-            methods = ("sturm", "dense", "inertia")
         else:
             rows = int(rng.integers(2, 13))
             cols = int(rng.integers(2, 145 // rows))
             g = build_grid((rows, cols), w=float(rng.uniform(0.3, 2.0)), boundary="wired")
-            methods = ("dense", "inertia")
         f = exact_field(g, rng)
         m = assemble(f, bc="simple")
         eigs = np.linalg.eigvalsh(m.to_dense())
         for energy in rng.uniform(float(eigs[0]) - 0.5, float(eigs[-1]) + 0.5, size=3):
             want = int(np.count_nonzero(eigs <= energy))
-            got = {meth: count_eigenvalues_leq(m, float(energy), method=meth).count
-                   for meth in methods}
-            assert all(v == want for v in got.values()), (k, energy, want, got)
+            got = count_eigenvalues_leq(m, float(energy))
+            assert got == want, (k, energy, want, got)
             checked += 1
 
     # walk expansion against the linear solve on a 3-vertex graph

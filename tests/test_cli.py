@@ -6,6 +6,7 @@ interpreter the way the installed wrapper runs it.  Reruns into the same
 directory must reproduce CSV and JSON summaries byte for byte.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -16,6 +17,8 @@ import numpy as np
 import pytest
 
 import rsolab
+import rsolab.field
+import rsolab.stats
 from rsolab.cli import main
 from rsolab.graphs import build_grid, dump_graph
 
@@ -158,6 +161,14 @@ class TestSample:
                    "--config", str(cfg))
         assert code == 1
         assert "unknown key" in capsys.readouterr().err
+
+    def test_gibbs_settings_validated_for_every_sampler(self, tmp_path, capsys):
+        # the summary reports these settings, so the exact sampler checks them too
+        code = run(tmp_path, "sample", "--d", "1", "--L", "1", "--W", "1", "--samples", "2",
+                   "--thinning", "0", "--burn-in", "-3", "--refresh-every", "0")
+        assert code == 1
+        assert "must be" in capsys.readouterr().err
+        assert not (tmp_path / "sample.csv").exists()
 
     def test_row_cap_refused_before_sampling(self, tmp_path, capsys):
         code = run(tmp_path, "sample", "--d", "2", "--L", "40", "--W", "1.0",
@@ -363,3 +374,21 @@ def test_import_leaves_scipy_stats_and_optimize_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_traced_layer_names_exist():
+    # perfbench/traced.py wraps layers by the names their callers look up; a
+    # renamed layer would read 0 in the per-layer metrics instead of failing
+    layers = {"cli": rsolab.cli, "field": rsolab.field, "stats": rsolab.stats}
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / "traced.py").read_text())
+    patched = [
+        (node.args[0].id, node.args[1].value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "patch"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "tracer"
+    ]
+    assert len(patched) >= 10
+    assert [f"{mod}.{attr}" for mod, attr in patched if not hasattr(layers[mod], attr)] == []

@@ -1,7 +1,8 @@
 """Field measure: density, closed-form Laplace transform, exact and Gibbs samplers.
 
-Layered verification: the quadrature oracle depends only on the density
-formula; the closed-form Laplace transform is checked against it; both
+Layered verification: the quadrature oracle weighs its nodes by the density
+formula alone (its pivot change of variables is checked against dense
+inverses); the closed-form Laplace transform is checked against it; both
 samplers are then checked against the closed form and against the exact
 one-site marginal (2*beta at any vertex of a wired box follows the
 reciprocal-inverse-Gaussian law with parameter = weighted degree + eta).
@@ -330,7 +331,6 @@ class TestGibbsSampler:
 def _meshgrid_eval_grid(g, integrand, nodes_1d, weights_1d):
     """Frozen copy of the quadrature grid that built every node before chunking."""
     n = g.n_vertices
-    wmat = g.weight_matrix()
     grids = np.meshgrid(*([nodes_1d] * n), indexing="ij")
     s_pts = np.stack([a.ravel() for a in grids], axis=1)
     wgrids = np.meshgrid(*([weights_1d] * n), indexing="ij")
@@ -339,7 +339,7 @@ def _meshgrid_eval_grid(g, integrand, nodes_1d, weights_1d):
     for start in range(0, s_pts.shape[0], field._QUAD_CHUNK):
         s = s_pts[start : start + field._QUAD_CHUNK]
         wq = w_pts[start : start + field._QUAD_CHUNK]
-        beta, q_eta = field._pivots_to_field(s * s, wmat, g.eta)
+        beta, q_eta = field._pivots_to_field(g, s * s)
         logrho = field._log_density_batch(g, beta, q_eta, 2.0 * np.sum(np.log(s), axis=1))
         total += float(np.sum(integrand(beta) * np.exp(logrho) * np.prod(s, axis=1) * wq))
     return total
@@ -374,6 +374,31 @@ class TestQuadratureOracle:
         with pytest.raises(FactorizationError, match="singular operator"):
             quadrature_oracle(two_path(1.0), failing)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            build_grid((3, 4), 1.0, boundary="wired"),
+            build_box(3, 1, 0.9, boundary="wired"),
+            attach_delta(build_grid((3, 3), 0.7, boundary="wired")),
+        ],
+        ids=["grid-wired", "box-d3", "ghost"],
+    )
+    def test_pivot_map_matches_dense_reference(self, g):
+        # the oracle's change of variables holds for any n: each pivot comes
+        # back as y_k = 1 / [(M_{>=k})^-1]_kk, and q = <eta, M^-1 eta>.
+        # Pivots at least the weighted degree + eta keep M well conditioned,
+        # so the dense inverses are accurate references; much smaller ones
+        # let the Schur terms, and with them beta, grow without bound.
+        n = g.n_vertices
+        y = (g.degree_w + g.eta) * np.random.default_rng(29).uniform(1.0, 2.0, size=(10, n))
+        beta, q = field._pivots_to_field(g, y)
+        for row, y_row, q_row in zip(beta, y, q):
+            m = np.diag(2.0 * row) - g.weight_matrix()
+            back = [1.0 / np.linalg.inv(m[k:, k:])[0, 0] for k in range(n)]
+            np.testing.assert_allclose(back, y_row, rtol=1e-12, atol=0)
+            want = float(g.eta @ np.linalg.solve(m, g.eta))
+            assert abs(q_row - want) <= 1e-12 * abs(want)
 
     def test_rejects_large_graphs(self):
         with pytest.raises(ValueError):

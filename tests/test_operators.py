@@ -1,6 +1,6 @@
 """Operator assembly, exact eigenvalue counting, Green solves, log-field algebra.
 
-The eigvalsh-based count is the oracle for every counting method; assembly
+The eigvalsh-based count is the oracle for the eigenvalue counter; assembly
 is pinned against hand-computed matrices; the walk expansion and the
 boundary-correction identity cross-check the solve-based Green function.
 """
@@ -110,22 +110,10 @@ class TestCounting:
     def test_tie_counted_as_leq(self):
         # 2-path, beta = 1: eigenvalues exactly {1, 3}
         m = assemble(path_field(2, 1.0, 1.0, boundary="zero"))
-        for method in ("sturm", "dense", "inertia"):
-            assert count_eigenvalues_leq(m, 1.0, method).count == 1
-            assert count_eigenvalues_leq(m, 1.0 - 1e-9, method).count == 0
-            assert count_eigenvalues_leq(m, 3.0, method).count == 2
-            assert count_eigenvalues_leq(m, 0.0, method).count == 0
-
-    def test_auto_method_selection(self):
-        mp = assemble(path_field(4, 1.0, 1.0))
-        assert count_eigenvalues_leq(mp, 2.0).method == "sturm"
-        mg = assemble(exact_field(build_grid((2, 2), 1.0), philox_stream(1)))
-        assert count_eigenvalues_leq(mg, 2.0).method == "inertia"
-
-    def test_unknown_method_rejected(self):
-        m = assemble(path_field(2, 1.0, 1.0))
-        with pytest.raises(ValueError):
-            count_eigenvalues_leq(m, 1.0, "qr")
+        assert count_eigenvalues_leq(m, 1.0) == 1
+        assert count_eigenvalues_leq(m, 1.0 - 1e-9) == 0
+        assert count_eigenvalues_leq(m, 3.0) == 2
+        assert count_eigenvalues_leq(m, 0.0) == 0
 
     @pytest.mark.parametrize("seed", range(6))
     def test_methods_agree_with_oracle_on_paths(self, seed):
@@ -137,9 +125,7 @@ class TestCounting:
         m = assemble(BetaField(graph=g, beta=beta))
         dense = m.to_dense()
         for energy in rng.uniform(-1.0, 8.0, size=5):
-            want = count_oracle(dense, energy)
-            for method in ("sturm", "dense", "inertia"):
-                assert count_eigenvalues_leq(m, energy, method).count == want
+            assert count_eigenvalues_leq(m, energy) == count_oracle(dense, energy)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_methods_agree_with_oracle_on_grids(self, seed):
@@ -150,16 +136,14 @@ class TestCounting:
         m = assemble(BetaField(graph=g, beta=beta))
         dense = m.to_dense()
         for energy in rng.uniform(-1.0, 8.0, size=5):
-            want = count_oracle(dense, energy)
-            for method in ("dense", "inertia"):
-                assert count_eigenvalues_leq(m, energy, method).count == want
+            assert count_eigenvalues_leq(m, energy) == count_oracle(dense, energy)
 
     def test_many_matches_scalar(self):
         g = build_grid((3, 3), 1.0)
         m = assemble(exact_field(g, philox_stream(7)))
         energies = np.linspace(-0.5, 9.0, 13)
         many = count_eigenvalues_many(m, energies)
-        scalar = [count_eigenvalues_leq(m, e).count for e in energies]
+        scalar = [count_eigenvalues_leq(m, e) for e in energies]
         assert np.array_equal(many, scalar)
         assert np.all(np.diff(many) >= 0)  # counting function is nondecreasing
 
@@ -194,7 +178,7 @@ class TestCounting:
         assert finite_volume_ids(m, 100.0) == 1.0
         mid = finite_volume_ids(m, 2.0)
         assert 0.0 <= mid <= 1.0
-        assert mid == count_eigenvalues_leq(m, 2.0).count / 5
+        assert mid == count_eigenvalues_leq(m, 2.0) / 5
 
 
 class TestGreen:
@@ -231,6 +215,12 @@ class TestGreen:
             green_matrix(m)
         with pytest.raises(FactorizationError):
             green_column(m, 0)
+        # a path longer than the dense cutoff fails with the same error type
+        n = DENSE_CUTOFF + 16
+        g = build_grid((n,), 4.0, boundary="zero", max_vertices=n)
+        m = assemble(BetaField(graph=g, beta=np.full(n, 0.5)))
+        with pytest.raises(FactorizationError):
+            green_column(m, n // 2)
 
     def test_column_index_validated(self):
         m = assemble(path_field(3, 1.0, 1.0))
@@ -340,9 +330,7 @@ def test_counting_methods_always_agree(seed, n, energy):
     g = build_grid((n,), 1.0, boundary="wired")
     beta = sample_beta_batch(g, 1, philox_stream(seed))[0]
     m = assemble(BetaField(graph=g, beta=beta))
-    want = count_oracle(m.to_dense(), energy)
-    got = {meth: count_eigenvalues_leq(m, energy, meth).count for meth in ("sturm", "dense", "inertia")}
-    assert got == {"sturm": want, "dense": want, "inertia": want}
+    assert count_eigenvalues_leq(m, energy) == count_oracle(m.to_dense(), energy)
 
 
 @given(seed=st.integers(0, 2**16))

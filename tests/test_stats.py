@@ -319,7 +319,7 @@ class TestGreenSolves:
                 y, cond = y[pair >= 1e-13], 1.0 + w * w / pair[pair >= 1e-13]
             else:
                 cond = np.ones(y.shape[0])
-            betas, _ = _pivots_to_field(y, g.weight_matrix(), g.eta)
+            betas, _ = _pivots_to_field(g, y)
             mats = _dense_batch(g, betas, bc="simple", scaled=False, w=w)
             for s in range(n):
                 for t in range(n):
