@@ -469,6 +469,7 @@ def _eval_grid(
     n = g.n_vertices
     shape = (nodes_1d.size,) * n
     n_pts = nodes_1d.size**n
+    log_nodes = np.log(nodes_1d)
     total = 0.0
     # each chunk's nodes come from its own flat index range, so memory is
     # bounded by _QUAD_CHUNK rather than by the whole tensor grid
@@ -478,7 +479,7 @@ def _eval_grid(
         wq = np.prod(np.stack([weights_1d[i] for i in idx], axis=1), axis=1)
         y = s * s
         beta, q_eta = _pivots_to_field(g, y)
-        log_piv = 2.0 * np.sum(np.log(s), axis=1)
+        log_piv = 2.0 * np.sum(np.stack([log_nodes[i] for i in idx], axis=1), axis=1)
         logrho = _log_density_batch(g, beta, q_eta, log_piv)
         vals = _call_integrand(integrand, beta)
         # d beta = 2^{-n} dy and dy = prod(2 s_i) ds  =>  d beta = prod(s_i) ds

@@ -24,6 +24,7 @@ from itertools import groupby
 from operator import itemgetter
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.special import gammainc
 
 from .field import laplace_exact, sample_beta_batch
@@ -221,39 +222,67 @@ def batch_means(chains) -> tuple[float, float]:
     return float(means.mean()), float(means.std(ddof=1) / math.sqrt(means.size))
 
 
-def _dense_batch(g: WeightedGraph, betas: np.ndarray, bc: str, scaled: bool, w: float) -> np.ndarray:
-    """Stack of dense operators for a slice of fields."""
-    b, n = betas.shape
-    base = np.zeros((n, n))
-    base[g.edges[:, 0], g.edges[:, 1]] = -g.weights
-    base[g.edges[:, 1], g.edges[:, 0]] = -g.weights
-    diag = 2.0 * betas
-    if bc == "dirichlet":
-        diag = diag + w * (2 * g.d - g.degree)[None, :]
-    if scaled:
-        base = base / w
-        diag = diag / w
-    out = np.broadcast_to(base, (b, n, n)).copy()
-    idx = np.arange(n)
-    out[:, idx, idx] = diag
-    return out
+def _green_solve(g: WeightedGraph, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve M X = rhs with M = diag(d) - W on g, for every row d of diag.
 
-
-def _green_solve(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve each (n, n) matrix of the (b, n, n) stack against one (n, k) rhs.
-
-    Returns the (b, n, k) solutions; a singular slice is a FactorizationError.
+    diag is (B, n) and rhs one shared (n, k) array; returns X, (B, n, k).
+    Unpivoted banded LDL' elimination in index order, samples on the last
+    axis.  Every vertex j > k coupled to vertex k lies in k+1 .. k+b with
+    b = ``g.bandwidth``, so M and all its fill sit in the band |i - j| <= b,
+    stored as band[v, b + j] = M[v, v + j] for j >= 0.  Eliminating k with
+    pivot d_k and row u = M[k, k+1 .. k+b] subtracts l u' from the trailing
+    b x b window, read through the band as one strided view, with
+    multipliers l = u / d_k, and subtracts l y_k from the right-hand side
+    (forward substitution).  The view's lower triangle lands in
+    band[:, :b], which is never read.  The multipliers then replace u, so
+    band[:, b:] holds (d_k, l), shape (n, b+1, B), for the back substitution
+    x_k = y_k / d_k - l'x_{k+1 .. k+b}.  Work is O(B n b^2) and memory
+    O(B n b).  M is positive definite wherever the law has mass, so every
+    pivot must be > 0; one that is not is a FactorizationError.
     """
-    try:
-        return np.linalg.solve(mats, np.broadcast_to(rhs, (mats.shape[0], *rhs.shape)))
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError("singular operator in a sampled slice") from exc
+    n_samples, n = diag.shape
+    b = g.bandwidth
+    lo, hi = g.edges[:, 0], g.edges[:, 1]
+    band = np.zeros((n, 2 * b + 1, n_samples))
+    band[:, b] = diag.T
+    band[lo, b + hi - lo] = -g.weights[:, None]
+    x = np.empty((n, rhs.shape[1], n_samples))
+    x[:] = rhs[:, :, None]
+    s0, s1, s2 = band.strides
+    for k in range(n):
+        piv = band[k, b]
+        if not piv.min() > 0:
+            raise FactorizationError("non-positive pivot: singular operator in a sampled slice")
+        m = min(b, n - 1 - k)
+        if m == 0:
+            continue
+        u = band[k, b + 1 : b + 1 + m]
+        mult = u * (1.0 / piv)
+        # window[i, j] = band[k+1+i, b+j-i] = M[k+1+i, k+1+j]
+        window = as_strided(band[k + 1, b:], shape=(m, m, n_samples), strides=(s0 - s1, s1, s2))
+        window -= mult[:, None] * u[None]
+        x[k + 1 : k + 1 + m] -= mult[:, None] * x[k]
+        u[...] = mult
+    for k in range(n - 1, -1, -1):
+        x[k] /= band[k, b]
+        m = min(b, n - 1 - k)
+        if m:
+            x[k] -= np.einsum("jb,jrb->rb", band[k, b + 1 : b + 1 + m], x[k + 1 : k + 1 + m])
+    return x.transpose(2, 0, 1)
+
+
+def _unit_columns(n: int, idx) -> np.ndarray:
+    """Columns idx of the n x n identity, without building it."""
+    idx = np.atleast_1d(idx)
+    out = np.zeros((n, idx.size))
+    out[idx, np.arange(idx.size)] = 1.0
+    return out
 
 
 def _pinning_rate(g: WeightedGraph, betas: np.ndarray, vertex: int) -> np.ndarray:
     """1/(2 G(v,v)) with G = (2 beta - W)^{-1}, one value per row of betas."""
-    mats = _dense_batch(g, betas, bc="simple", scaled=False, w=1.0)
-    return 0.5 / _green_solve(mats, np.eye(g.n_vertices)[:, [vertex]])[:, vertex, 0]
+    col = _unit_columns(g.n_vertices, vertex)
+    return 0.5 / _green_solve(g, 2.0 * betas, col)[:, vertex, 0]
 
 
 def _green_ratio(g: WeightedGraph, betas: np.ndarray, s: int, t: int) -> np.ndarray:
@@ -267,9 +296,11 @@ def _green_ratio(g: WeightedGraph, betas: np.ndarray, s: int, t: int) -> np.ndar
     if s == t:
         return np.ones(betas.shape[0])
     keep = np.arange(g.n_vertices) != s
-    # w only scales Dirichlet or scaled operators; this one is neither
-    mats = _dense_batch(remove_vertex(g, s), betas[:, keep], bc="simple", scaled=False, w=1.0)
-    x = _green_solve(mats, g.weight_matrix()[keep, s, None])
+    lo, hi = g.edges[:, 0], g.edges[:, 1]
+    couplings = np.zeros(g.n_vertices)
+    couplings[hi[lo == s]] = g.weights[lo == s]
+    couplings[lo[hi == s]] = g.weights[hi == s]
+    x = _green_solve(remove_vertex(g, s), 2.0 * betas[:, keep], couplings[keep, None])
     return np.sqrt(x[:, t - (t > s), 0])
 
 
@@ -469,11 +500,10 @@ def decay_moment_fit(
         [g.vertex_at([t] + [0] * (d - 1)) for t in range(0, half_side + 1)], dtype=np.int64
     )
     k = targets.size
-    rhs = np.eye(g.n_vertices)[:, [center]]
+    rhs = _unit_columns(g.n_vertices, center)
 
     def eval_slice(betas: np.ndarray) -> np.ndarray:
-        mats = _dense_batch(g, betas, bc="simple", scaled=False, w=w)
-        cols = _green_solve(mats, rhs)[:, :, 0]
+        cols = _green_solve(g, 2.0 * betas, rhs)[:, :, 0]
         if not np.all(cols[:, targets] > 0):
             raise FactorizationError("Green column lost positivity in a slice")
         if kind == "quarter":
@@ -538,8 +568,10 @@ def localization_event_probabilities(
     keep[center] = False
     del_boundary = np.searchsorted(np.nonzero(keep)[0], boundary_idx[boundary_idx != center])
     del_nbrs = np.searchsorted(np.nonzero(keep)[0], center_nbrs)
-    center_col = np.eye(n)[:, [center]]
-    nbr_cols = np.eye(n - 1)[:, del_nbrs]
+    g_del = remove_vertex(g, center)
+    center_col = _unit_columns(n, center)
+    nbr_cols = _unit_columns(n - 1, del_nbrs)
+    dirichlet_shift = w * (2 * g.d - g.degree)
 
     ratio_thresh = np.exp(-decay_rate * np.max(np.abs(g.coords[boundary_idx]), axis=1) / 2.0)
     diag_thresh = math.exp(decay_rate * half_side)
@@ -548,19 +580,17 @@ def localization_event_probabilities(
     # every Green matrix here is symmetric, so a column solve gives the rows
     def eval_slice(betas: np.ndarray) -> np.ndarray:
         b = betas.shape[0]
-        mats = _dense_batch(g, betas, bc="simple", scaled=False, w=w)
-        gc = _green_solve(mats, center_col)[:, :, 0]
+        gc = _green_solve(g, 2.0 * betas, center_col)[:, :, 0]
         ratios = np.sqrt(gc[:, boundary_idx] / gc[:, center, None])
         ev_ratio = np.all(ratios <= ratio_thresh[None, :], axis=1)
         scaled_diag = w * gc[:, center]
         ev_diag = scaled_diag <= diag_thresh
 
-        sub = mats[np.ix_(np.arange(b), keep, keep)]
-        deleted = _green_solve(sub, nbr_cols)[:, del_boundary, :]
+        deleted = _green_solve(g_del, 2.0 * betas[:, keep], nbr_cols)[:, del_boundary, :]
         ev_deleted = np.all(deleted.reshape(b, -1) <= deleted_thresh, axis=1)
 
-        mats_d = _dense_batch(g, betas, bc="dirichlet", scaled=True, w=w)
-        diag_d = _green_solve(mats_d, center_col)[:, center, 0]
+        # the scaled Dirichlet operator is the unscaled one over w
+        diag_d = w * _green_solve(g, 2.0 * betas + dirichlet_shift, center_col)[:, center, 0]
 
         localized = ev_ratio & ev_diag
         big_simple = scaled_diag > 1.0 / energy
@@ -700,8 +730,7 @@ def ward_moment_check(
     other = g.vertex_at([1] + [0] * (d - 1))
 
     def eval_slice(betas: np.ndarray) -> np.ndarray:
-        mats = _dense_batch(g, betas, bc="simple", scaled=False, w=w)
-        lin = _green_solve(mats, g.eta[:, None])[:, :, 0]
+        lin = _green_solve(g, 2.0 * betas, g.eta[:, None])[:, :, 0]
         if not np.all(lin > 0):
             raise FactorizationError("boundary solve lost positivity in a slice")
         u = np.log(lin)
@@ -750,7 +779,7 @@ def martingale_check(
     for l_half in inner:
         idx = subbox_indices(g, l_half)
         sub = build_box(d, l_half, w=w, boundary="wired")
-        rhs = np.column_stack([sub.eta, np.eye(sub.n_vertices)[:, sub.center_index]])
+        rhs = np.column_stack([sub.eta, _unit_columns(sub.n_vertices, sub.center_index)])
         subs.append((idx, sub, rhs))
 
     k = len(inner)
@@ -761,8 +790,7 @@ def martingale_check(
         psi = np.empty((b, k))
         bracket = np.empty((b, k))
         for t, (idx, sub, rhs) in enumerate(subs):
-            mats = _dense_batch(sub, betas[:, idx], bc="simple", scaled=False, w=w)
-            sol = _green_solve(mats, rhs)
+            sol = _green_solve(sub, 2.0 * betas[:, idx], rhs)
             psi_t = sol[:, sub.center_index, 0]
             g00_t = sol[:, sub.center_index, 1]
             psi[:, t] = psi_t

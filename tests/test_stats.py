@@ -8,6 +8,7 @@ and on live runs at pinned seeds.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from scipy.special import gammainc
 
 from rsolab import stats
 from rsolab.field import _pivots_to_field, sample_beta_batch
-from rsolab.graphs import build_box, build_grid
-from rsolab.operators import FactorizationError
+from rsolab.graphs import build_box, build_grid, remove_vertex
+from rsolab.operators import FactorizationError, operator_from_two_beta
 from rsolab.rig import rig_cdf
 from rsolab.rng import philox_stream
 from rsolab.stats import (
@@ -26,7 +27,6 @@ from rsolab.stats import (
     IdsCurve,
     MonteCarloConfig,
     _chain_sizes,
-    _dense_batch,
     _green_ratio,
     _green_solve,
     batch_means,
@@ -253,6 +253,27 @@ class TestDecayFit:
             decay_moment_fit(1, 4, 1.0, "cubic", MonteCarloConfig(n_samples=10))
 
 
+def _dense_stack(g, betas: np.ndarray, bc: str = "simple", scaled: bool = False, w=None) -> np.ndarray:
+    """Dense operators of a (B, n) slice of fields, one (n, n) matrix per row."""
+    return np.array(
+        [operator_from_two_beta(g, 2.0 * beta, bc=bc, scaled=scaled, w=w).to_dense() for beta in betas]
+    )
+
+
+def _exact_solve(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """m^{-1} rhs in exact rational arithmetic (Gauss-Jordan on Fractions)."""
+    n, k = rhs.shape
+    a = [[Fraction(v) for v in m[i]] + [Fraction(v) for v in rhs[i]] for i in range(n)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if a[r][c] != 0)
+        a[c], a[p] = a[p], a[c]
+        a[c] = [v / a[c][c] for v in a[c]]
+        for r in range(n):
+            if r != c and a[r][c] != 0:
+                a[r] = [v - a[r][c] * u for v, u in zip(a[r], a[c])]
+    return np.array([[float(v) for v in row[n:]] for row in a])
+
+
 def _frozen_cofactor_ratio(mats: np.ndarray, s: int, t: int) -> np.ndarray:
     """Frozen copy of the n <= 3 cofactor formula for G(s,t)/G(s,s) that the
     quadrature integrand used before the Green-ratio solve replaced it."""
@@ -295,7 +316,7 @@ class TestGreenSolves:
     def test_green_ratio_matches_full_inverse(self, shape):
         g = build_grid(shape, 0.7, boundary="wired")
         betas = sample_beta_batch(g, 40, philox_stream(len(shape) * 10 + shape[0]))
-        inv = np.linalg.inv(_dense_batch(g, betas, bc="simple", scaled=False, w=0.7))
+        inv = np.linalg.inv(_dense_stack(g, betas))
         for s in range(g.n_vertices):
             for t in range(g.n_vertices):
                 want = np.sqrt(inv[:, s, t] / inv[:, s, s])
@@ -320,7 +341,7 @@ class TestGreenSolves:
             else:
                 cond = np.ones(y.shape[0])
             betas, _ = _pivots_to_field(g, y)
-            mats = _dense_batch(g, betas, bc="simple", scaled=False, w=w)
+            mats = _dense_stack(g, betas)
             for s in range(n):
                 for t in range(n):
                     want = np.sqrt(_frozen_cofactor_ratio(mats, s, t))
@@ -328,9 +349,40 @@ class TestGreenSolves:
                     assert np.all(np.abs(got - want) <= 8.0 * eps * cond * want)
 
     def test_singular_slice_raises_factorization_error(self):
-        mats = np.array([np.eye(2), [[1.0, 1.0], [1.0, 1.0]]])
-        with pytest.raises(FactorizationError, match="singular operator"):
-            _green_solve(mats, np.ones((2, 1)))
+        # w = 1, beta = (1/2, 1/2): M = [[1, -1], [-1, 1]] has a zero second
+        # pivot; beta = (1/4, 1/4) makes it negative
+        g = build_grid((2,), 1.0, boundary="zero")
+        for bad in ([0.5, 0.5], [0.25, 0.25]):
+            betas = np.array([[2.0, 2.0], bad])
+            with pytest.raises(FactorizationError, match="singular operator"):
+                _green_solve(g, 2.0 * betas, np.ones((2, 1)))
+
+    @pytest.mark.parametrize("n, removed", [(1, None), (2, None), (3, None), (3, 1)])
+    def test_green_solve_matches_exact_inverse(self, n, removed):
+        # well-conditioned draws: a diagonal of 1.5 to 3 times the weighted
+        # degree plus one dominates the couplings
+        g = build_grid((n,), 0.8, boundary="wired")
+        if removed is not None:
+            g = remove_vertex(g, removed)
+        rng = np.random.default_rng(n)
+        diag = (g.degree_w + 1.0) * rng.uniform(1.5, 3.0, size=(25, g.n_vertices))
+        rhs = rng.uniform(-1.0, 1.0, size=(g.n_vertices, 2))
+        got = _green_solve(g, diag, rhs)
+        assert got.shape == (25, g.n_vertices, 2)
+        for d, x in zip(diag, got):
+            m = -g.weight_matrix() + np.diag(d)
+            np.testing.assert_allclose(x, _exact_solve(m, rhs), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("d, half_side, removed", [(2, 8, None), (3, 2, None), (2, 3, "center")])
+    def test_green_solve_matches_dense_solve(self, d, half_side, removed):
+        g = build_box(d, half_side, w=1.0, boundary="wired")
+        betas = sample_beta_batch(g, 20, philox_stream(d * 10 + half_side))
+        if removed is not None:
+            keep = np.arange(g.n_vertices) != g.center_index
+            g, betas = remove_vertex(g, g.center_index), betas[:, keep]
+        rhs = np.random.default_rng(d).uniform(0.0, 1.0, size=(g.n_vertices, 3))
+        want = np.linalg.solve(_dense_stack(g, betas), np.broadcast_to(rhs, (20, *rhs.shape)))
+        np.testing.assert_allclose(_green_solve(g, 2.0 * betas, rhs), want, rtol=1e-12, atol=0)
 
     def test_gamma_statistic_matches_full_inverse(self, monkeypatch):
         g = build_grid((3,), 1.0, boundary="zero")
@@ -338,7 +390,7 @@ class TestGreenSolves:
         gamma_marginal_test(g, MonteCarloConfig(n_samples=500, seed=5), vertex=1)
         assert sum(b.shape[0] for b, _ in seen) == 500
         for betas, out in seen:
-            inv = np.linalg.inv(_dense_batch(g, betas, bc="simple", scaled=False, w=1.0))
+            inv = np.linalg.inv(_dense_stack(g, betas))
             np.testing.assert_allclose(out, 0.5 / inv[:, 1, 1], rtol=1e-12, atol=0)
 
     def test_localization_events_match_full_inverse(self, monkeypatch):
@@ -358,10 +410,10 @@ class TestGreenSolves:
         ratio_thresh = np.exp(-kappa * np.max(np.abs(g.coords[bnd]), axis=1) / 2.0)
         occurred = np.zeros(7, dtype=bool)
         for betas, out in seen:
-            mats = _dense_batch(g, betas, bc="simple", scaled=False, w=w)
+            mats = _dense_stack(g, betas)
             inv = np.linalg.inv(mats)
             sub_inv = np.linalg.inv(mats[:, keep][:, :, keep])
-            inv_d = np.linalg.inv(_dense_batch(g, betas, bc="dirichlet", scaled=True, w=w))
+            inv_d = np.linalg.inv(_dense_stack(g, betas, bc="dirichlet", scaled=True, w=w))
             ratio = np.sqrt(inv[:, c, bnd] / inv[:, c, c, None])
             ev_ratio = np.all(ratio <= ratio_thresh, axis=1)
             diag = w * inv[:, c, c]
