@@ -168,6 +168,42 @@ class WeightedGraph:
         return int((self.edges[:, 1] - self.edges[:, 0]).max()) if self.n_edges else 1
 
     @cached_property
+    def fill_reducing_pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """CSC pattern of P(D - W)P^T, with P SuperLU's MMD ordering on A^T + A.
+
+        Returns ``(indptr, indices, diag_pos, edge_pos)``: the CSC index
+        arrays (both triangles stored), then the positions in the CSC data
+        of each vertex's diagonal entry, (n,), and of each edge's two
+        entries, (2, m).  Any operator on the graph fills that data.
+        """
+        from scipy.sparse import csc_array
+        from scipy.sparse.linalg import splu
+
+        n, m = self.n_vertices, self.n_edges
+        lo, hi = self.edges[:, 0], self.edges[:, 1]
+        rows = np.concatenate((np.arange(n), lo, hi))
+        cols = np.concatenate((np.arange(n), hi, lo))
+        # MMD reads the pattern only; these values factor without pivoting
+        values = np.concatenate((self.degree + 1.0, np.full(2 * m, -1.0)))
+        lu = splu(
+            csc_array((values, (rows, cols)), shape=(n, n)),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+        r, c = lu.perm_c[rows], lu.perm_c[cols]  # perm_c maps old index -> new
+        order = np.lexsort((r, c))
+        pos = np.empty(order.size, dtype=np.int64)
+        pos[order] = np.arange(order.size)
+        indptr = np.searchsorted(c[order], np.arange(n + 1)).astype(np.intc)
+        return (
+            _as_readonly(indptr),
+            _as_readonly(r[order].astype(np.intc)),
+            _as_readonly(pos[:n]),
+            _as_readonly(pos[n:].reshape(2, m)),
+        )
+
+    @cached_property
     def center_index(self) -> int:
         """Index of the coordinate origin (boxes) / middle vertex (odd grids)."""
         if self.shape is None:

@@ -8,17 +8,18 @@ divides everything by the uniform coupling w.
 
 Eigenvalue counting below a threshold is exact up to floating comparison,
 with one counter per graph class: the Sturm pivot recursion on tridiagonal
-(path) operators, and Householder tridiagonalization followed by the same
-recursion on every other graph.  Ties at the threshold count as below (the
-spectra encountered here are absolutely continuous, so ties occur only in
-hand-built examples).  Green solves factor the operator once by banded
-Cholesky at the graph's bandwidth.
+(path) operators, where ties at the threshold count as below, and on every
+other graph the negative pivots of a sparse LDL^T factor of H - E in a
+fill-reducing order, where an energy that makes that factor singular or
+forces a row interchange (a tie, a zero diagonal) raises instead of
+counting.  The spectra met here are absolutely continuous, so ties occur
+only in hand-built examples.  Green solves factor the operator once by
+banded Cholesky at the graph's bandwidth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg import (
@@ -27,7 +28,6 @@ from scipy.linalg import (
     cho_solve,
     cho_solve_banded,
     cholesky_banded,
-    get_lapack_funcs,
 )
 
 from .field import BetaField
@@ -53,15 +53,16 @@ __all__ = [
     "dump_matrix",
 ]
 
-#: Largest dense operator accepted (dense form, full inverse, counting on
-#: non-path graphs); path counts and Green solves are unbounded.
+#: Largest dense operator accepted (dense form, full inverse); eigenvalue
+#: counts and Green solves are unbounded.
 DENSE_CUTOFF = DENSE_MAX
 
 #: Residual guarantee for Green solves (infinity norm, after one refinement).
 GREEN_RESIDUAL_TOL = 1e-10
 
-#: Sturm pivot floor: zero or denormal pivots are replaced by -PIVMIN so an
-#: eigenvalue exactly at the threshold counts as "<=".
+#: Pivot floor: a pivot below PIVMIN counts as negative.  Sturm replaces zero
+#: or denormal pivots by -PIVMIN, so an eigenvalue exactly at the threshold
+#: counts as "<=".
 PIVMIN = 1e-280
 
 MATRIX_DUMP_HEADER = "# rso-matrix v1"
@@ -116,13 +117,6 @@ class OperatorMatrix:
         idx = np.arange(self.n)
         m[idx, idx] = self.diag
         return m
-
-    @cached_property
-    def tridiagonal(self) -> tuple[np.ndarray, np.ndarray]:
-        """(diag, offdiag) arrays for path graphs (edge k is (k, k+1))."""
-        if not self.graph.is_path:
-            raise ValueError("tridiagonal form requires a path graph")
-        return self.diag, self.offdiag
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         out = self.diag * x
@@ -196,28 +190,38 @@ def sturm_counts_batch(diag: np.ndarray, off: np.ndarray, energies: np.ndarray) 
     return counts
 
 
-def _tridiagonalize(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Householder reduction to tridiagonal form via LAPACK."""
-    sytrd = get_lapack_funcs(("sytrd",), (dense,))[0]
-    _, d, e, _, info = sytrd(dense, lower=1)
-    if info != 0:
-        raise FactorizationError(f"tridiagonal reduction failed (info={info})")
-    return d, e
-
-
 def count_eigenvalues_many(m: OperatorMatrix, energies) -> np.ndarray:
-    """Counts for a whole energy grid, reusing one tridiagonal reduction."""
+    """Counts of eigenvalues <= E for a whole energy grid.
+
+    Paths run the Sturm recursion, where ties count as "<=".  Other graphs
+    count the negative pivots of P(H - E)P^T = LDL^T (Sylvester's law of
+    inertia): SuperLU factors in the graph's fill-reducing order with the
+    diagonal pivot forced, so the diagonal of U is D.  An energy whose factor
+    interchanged rows or is exactly singular raises
+    :class:`FactorizationError` instead of counting.
+    """
     energies = np.asarray(energies, dtype=float).reshape(-1)
     if m.graph.is_path:
-        d, e = m.tridiagonal
-    else:
-        if m.n > DENSE_CUTOFF:
-            raise ValueError(
-                f"eigenvalue counting on a non-path graph with n={m.n} exceeds the "
-                f"dense cutoff {DENSE_CUTOFF}"
-            )
-        d, e = _tridiagonalize(m.to_dense())
-    return sturm_counts_batch(d[None, :], e, energies)[0]
+        return sturm_counts_batch(m.diag[None, :], m.offdiag, energies)[0]
+    from scipy.sparse import csc_array
+    from scipy.sparse.linalg import splu
+
+    indptr, indices, diag_pos, edge_pos = m.graph.fill_reducing_pattern
+    natural = np.arange(m.n)
+    data = np.empty(indices.size)
+    data[edge_pos] = m.offdiag
+    counts = np.empty(energies.size, dtype=np.int64)
+    for k, energy in enumerate(energies):
+        data[diag_pos] = m.diag - energy
+        a = csc_array((data, indices, indptr), shape=(m.n, m.n))
+        try:
+            lu = splu(a, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            raise FactorizationError(f"H - E is singular at E={energy:.17g}") from exc
+        if not (np.array_equal(lu.perm_r, natural) and np.array_equal(lu.perm_c, natural)):
+            raise FactorizationError(f"LDL^T of H - E needs a row interchange at E={energy:.17g}")
+        counts[k] = np.count_nonzero(lu.U.diagonal() < PIVMIN)
+    return counts
 
 
 def count_eigenvalues_leq(m: OperatorMatrix, energy: float) -> int:

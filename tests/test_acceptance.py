@@ -228,7 +228,7 @@ def test_c10_critical_couplings():
 
 def test_c11_cross_method_eigenvalue_counts():
     # 200 fixed random instances <= 144 vertices: the counter (Sturm on the
-    # paths, Householder + Sturm on the grids) agrees with eigvalsh
+    # paths, sparse LDL^T inertia on the grids) agrees with eigvalsh
     rng = philox_stream(1111)
     checked = 0
     for k in range(200):

@@ -364,16 +364,27 @@ def test_module_main_matches_script():
 
 def test_import_leaves_scipy_stats_and_optimize_unloaded():
     # only validate, the pinning KS report, the Gamma-marginal audit and the
-    # Levy concentration use them, so they load inside those functions
+    # Levy concentration use scipy.stats and scipy.optimize, and only counts
+    # on non-path graphs use scipy.sparse.linalg, so they load inside those
+    # functions
     probe = (
-        "import sys, rsolab.cli; "
-        "print([m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.optimize'))])"
+        "import sys, rsolab.cli; print([m for m in sys.modules "
+        "if m.startswith(('scipy.stats', 'scipy.optimize', 'scipy.sparse.linalg'))])"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env()
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = readme.split("```python\n")[1:]
+    assert len(blocks) == 1
+    exec(compile(blocks[0].split("```")[0], "README.md", "exec"), {})
+    printed = capsys.readouterr().out.split("\n")
+    assert printed[0].isdigit()
 
 
 def test_traced_layer_names_exist():

@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rsolab.field import BetaField, exact_field, sample_beta_batch
-from rsolab.graphs import WeightedGraph, build_box, build_grid
+from rsolab.graphs import DENSE_MAX, WeightedGraph, build_box, build_grid
 from rsolab.operators import (
     DENSE_CUTOFF,
     GREEN_RESIDUAL_TOL,
@@ -88,12 +88,6 @@ class TestAssembly:
         with pytest.raises(ValueError):
             operator_from_two_beta(hand, np.ones(2), bc="dirichlet")
 
-    def test_tridiagonal_requires_path(self):
-        g = build_grid((2, 2), 1.0)
-        m = assemble(exact_field(g, philox_stream(0)))
-        with pytest.raises(ValueError):
-            _ = m.tridiagonal
-
     def test_arrays_read_only(self):
         m = assemble(path_field(3, 1.0, 1.0))
         with pytest.raises(ValueError):
@@ -159,6 +153,68 @@ class TestCounting:
             dense = assemble(BetaField(graph=g, beta=betas[k])).to_dense()
             for c, e in zip(counts[k], energies):
                 assert c == count_oracle(dense, e)
+
+    def test_non_path_tie_raises(self):
+        # 2x2 zero-boundary box (a 4-cycle), beta = 1: H = 2 - A has the
+        # eigenvalues {0, 2, 2, 4}; H - E is singular at each of them, and at
+        # E = 2 its diagonal is zero too
+        g = build_grid((2, 2), 1.0, boundary="zero")
+        m = assemble(BetaField(graph=g, beta=np.ones(4)))
+        for energy in (0.0, 2.0, 4.0):
+            with pytest.raises(FactorizationError, match="singular"):
+                count_eigenvalues_leq(m, energy)
+        assert list(count_eigenvalues_many(m, [-1e-9, 1e-9, 2.0 - 1e-9, 2.0 + 1e-9, 5.0])) == [0, 1, 1, 3, 4]
+
+    def test_non_path_zero_diagonal_raises(self):
+        # 2x3 zero-boundary box, beta = 1: H - 2 = -A is invertible but has a
+        # zero diagonal, so its LDL^T needs a row interchange
+        g = build_grid((2, 3), 1.0, boundary="zero")
+        m = assemble(BetaField(graph=g, beta=np.ones(6)))
+        assert np.min(np.abs(np.linalg.eigvalsh(m.to_dense()) - 2.0)) > 0.4
+        with pytest.raises(FactorizationError, match="row interchange"):
+            count_eigenvalues_many(m, [1.5, 2.0])
+
+    def test_graphs_without_edges(self):
+        empty = np.empty((0, 2), dtype=np.int64)
+        one = WeightedGraph(1, empty, np.empty(0), np.zeros(1))
+        m = operator_from_two_beta(one, np.array([0.5]))
+        assert list(count_eigenvalues_many(m, [0.0, 0.5, 1.0])) == [0, 1, 1]
+        isolated = WeightedGraph(3, empty, np.empty(0), np.zeros(3))
+        assert not isolated.is_path
+        m = operator_from_two_beta(isolated, np.array([0.5, -1.0, 2.0]))
+        energies = [-2.0, -0.5, 0.75, 1.0, 3.0]
+        want = [count_oracle(m.to_dense(), e) for e in energies]
+        assert list(count_eigenvalues_many(m, energies)) == want == [0, 1, 2, 2, 3]
+
+    @pytest.mark.parametrize("half_side,samples", [(5, 3), (7, 1)])
+    def test_3d_box_matches_oracle(self, half_side, samples):
+        # strong disorder (W = 0.05): the scaled Dirichlet operator has a
+        # few eigenvalues in the Lifshitz-tail window [1e-3, 0.1]
+        w = 0.05
+        g = build_box(3, half_side, w=w, boundary="wired")
+        energies = np.geomspace(1e-3, 0.1, 8)
+        total = 0
+        for beta in sample_beta_batch(g, samples, philox_stream(41 + half_side)):
+            m = operator_from_two_beta(g, 2.0 * beta, bc="dirichlet", scaled=True, w=w)
+            eigs = np.linalg.eigvalsh(m.to_dense())
+            counts = count_eigenvalues_many(m, energies)
+            assert np.array_equal(counts, np.searchsorted(eigs, energies, side="right"))
+            total += int(counts[-1])
+        assert total > 0
+
+    def test_counts_beyond_the_dense_limit(self):
+        # a 2100 x 2 ladder has n = 4200 > DENSE_MAX; its counts rise from 0
+        # below every Gershgorin disc to n above all of them
+        g = build_grid((2100, 2), 1.0, boundary="wired")
+        assert not g.is_path and g.n_vertices > DENSE_MAX
+        beta = sample_beta_batch(g, 1, philox_stream(67))[0]
+        m = assemble(BetaField(graph=g, beta=beta))
+        lo, hi = m.diag - g.degree_w, m.diag + g.degree_w
+        energies = np.concatenate(([lo.min() - 1e-3], np.linspace(lo.min(), hi.max(), 9), [hi.max() + 1e-3]))
+        counts = count_eigenvalues_many(m, energies)
+        assert counts[0] == 0 and counts[-1] == g.n_vertices
+        assert np.all(np.diff(counts) >= 0)
+        assert 0 < counts[4] < g.n_vertices
 
     def test_dirichlet_counts_never_exceed_simple(self):
         # the Dirichlet correction adds a nonnegative diagonal, pushing every
