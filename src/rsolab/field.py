@@ -410,6 +410,8 @@ def sample_beta_batch(g: WeightedGraph, n_samples: int, rng: np.random.Generator
         raise ValueError("n_samples must be >= 1")
     plan = _band_plan(g)
     chunk = max(1, BATCH_SCALARS // max(g.n_vertices, plan[0] ** 2))
+    # sample_rig is looked up in this module at every draw, so a wrapper set
+    # on rsolab.field.sample_rig (the benchmark's timers) sees every element
     parts = [
         _border_band(g, plan, min(chunk, n_samples - start), lambda k, a: sample_rig(a, rng))
         for start in range(0, n_samples, chunk)
@@ -429,6 +431,9 @@ def exact_field(g: WeightedGraph, rng: np.random.Generator, provenance: str = "e
 
 #: Gauss-Legendre panel edges in s = sqrt(y) coordinates, before scaling.
 _PANEL_EDGES = np.array([0.0, 0.3, 0.6, 1.0, 1.4, 1.9, 2.5, 3.2, 4.0, 5.0, 6.5, 8.0, 10.0, 13.0, 16.0])
+#: Grid nodes per chunk of :func:`_eval_grid`.  Each chunk adds one partial
+#: sum, so this value fixes the last bits of every quadrature result: retuning
+#: it moves the ``quadrature`` column of ``monotonicity.csv``.
 _QUAD_CHUNK = 200_000
 
 

@@ -172,21 +172,31 @@ def sturm_counts_batch(diag: np.ndarray, off: np.ndarray, energies: np.ndarray) 
     """Vectorized Sturm counts: diag (B, n), off (n-1,) or (B, n-1), energies (k,).
 
     Returns an integer array (B, k).  This is the throughput engine behind
-    the spectral estimators: one pass over sites with (B, k)-shaped pivots.
+    the spectral estimators: one pass over sites with (B, k)-shaped pivots
+    q_k = (diag_k - E) - off_{k-1}^2 / q_{k-1}, each counted when negative.
+    A pivot with |q| < PIVMIN is replaced by -PIVMIN before it is counted
+    and divided by.  The sweep reads one sites-first copy of ``diag`` (and
+    of ``off**2`` when it is per sample) and updates preallocated (B, k)
+    buffers in place.
     """
     diag = np.asarray(diag, dtype=float)
     energies = np.asarray(energies, dtype=float).reshape(-1)
     off = np.asarray(off, dtype=float)
     b, n = diag.shape
-    shared_off = off.ndim == 1
-    q = diag[:, 0, None] - energies[None, :]
-    q = np.where(np.abs(q) < PIVMIN, -PIVMIN, q)
-    counts = (q < 0).astype(np.int64)
-    for k in range(1, n):
-        o2 = (off[k - 1] * off[k - 1]) if shared_off else (off[:, k - 1] * off[:, k - 1])[:, None]
-        q = (diag[:, k, None] - energies[None, :]) - o2 / q
-        q = np.where(np.abs(q) < PIVMIN, -PIVMIN, q)
-        counts += q < 0
+    sites = np.ascontiguousarray(diag.T)[:, :, None]
+    # shared off: one scalar per site; per sample: a (B, 1) column per site
+    off2 = off * off if off.ndim == 1 else np.ascontiguousarray((off * off).T)[:, :, None]
+    q, work = np.empty((2, b, energies.size))
+    neg = np.empty(q.shape, dtype=bool)
+    counts = np.zeros(q.shape, dtype=np.int64)
+    for k in range(n):
+        np.subtract(sites[k], energies, out=work if k else q)
+        if k:
+            np.divide(off2[k - 1], q, out=q)
+            np.subtract(work, q, out=q)
+        np.less(np.abs(q, out=work), PIVMIN, out=neg)
+        np.copyto(q, -PIVMIN, where=neg)
+        counts += np.less(q, 0.0, out=neg)
     return counts
 
 

@@ -35,12 +35,22 @@ TINY_A = 1e-150
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
+def _check_parameter(a) -> None:
+    """Raise ValueError unless a, a float or an ndarray, is finite and >= 0."""
+    # NaN fails every comparison, and propagates through min and max
+    if isinstance(a, float):
+        ok = 0.0 <= a < math.inf
+    else:
+        ok = a.size == 0 or (0.0 <= a.min() and a.max() < math.inf)
+    if not ok:
+        raise ValueError("parameter a must be finite and nonnegative")
+
+
 def rig_logpdf(a, y):
     """Log-density of rho_a at y (elementwise; -inf for y <= 0)."""
     a = np.asarray(a, dtype=float)
     y = np.asarray(y, dtype=float)
-    if np.any(a < 0):
-        raise ValueError("parameter a must be nonnegative")
+    _check_parameter(a)
     out = np.full(np.broadcast_shapes(a.shape, y.shape), -np.inf)
     pos = np.broadcast_to(y > 0, out.shape)
     aa = np.broadcast_to(a, out.shape)[pos]
@@ -63,8 +73,7 @@ def rig_cdf(a, y):
     """
     a = np.asarray(a, dtype=float)
     y = np.asarray(y, dtype=float)
-    if np.any(a < 0):
-        raise ValueError("parameter a must be nonnegative")
+    _check_parameter(a)
     out = np.zeros(np.broadcast_shapes(a.shape, y.shape))
     pos = np.broadcast_to(y > 0, out.shape)
     aa = np.broadcast_to(a, out.shape)[pos]
@@ -90,18 +99,22 @@ def sample_rig(a, rng: np.random.Generator, size=None):
     the transformation method (one normal for the quadratic's roots, one
     uniform to pick the root with its exact probability), then returns 1/X.
     The large root is computed first (all-positive terms, no cancellation)
-    and the small root recovered from the product of roots mu^2.  a = 0
-    returns the square of the normal.
+    and the small root recovered from the product of roots mu^2.  Entries
+    with a < TINY_A return the square of the normal.
 
     ``a`` may be a scalar or array; the result broadcasts ``a`` against
-    ``size``.  Exactly one normal and one uniform are consumed per output
-    element regardless of ``a``, so the stream layout is reproducible.
+    ``size``.  A negative, NaN or infinite ``a`` raises ValueError.  Exactly
+    one normal and one uniform are consumed per output element regardless
+    of ``a``, so the stream layout is reproducible.  The array branch runs
+    every element through one in-place sequence with a clamped to TINY_A
+    (which keeps 1/a and mu^2 finite), then writes the squared normal over
+    the entries with a < TINY_A; it returns the scalar branch's values bit
+    for bit.
     """
     if size is None and (isinstance(a, float) or np.ndim(a) == 0):
         # one draw per Gibbs site update: Python floats beat 0-d arrays
         a = float(a)
-        if a < 0:
-            raise ValueError("parameter a must be nonnegative")
+        _check_parameter(a)
         nu = rng.standard_normal()
         u = rng.random()
         z = nu * nu
@@ -113,27 +126,29 @@ def sample_rig(a, rng: np.random.Generator, size=None):
         small = mu * mu / big
         return a * a * (big if u <= mu / (mu + small) else small)
 
-    a_arr = np.asarray(a, dtype=float)
-    if np.any(a_arr < 0):
-        raise ValueError("parameter a must be nonnegative")
+    a = np.asarray(a, dtype=float)
+    _check_parameter(a)
     if size is None:
-        shape = a_arr.shape
+        shape = a.shape
     else:
         shape = (size,) if np.isscalar(size) else tuple(size)
-        shape = np.broadcast_shapes(a_arr.shape, shape)
-    nu = rng.standard_normal(shape)
+        shape = np.broadcast_shapes(a.shape, shape)
+    z = rng.standard_normal(shape)
     u = rng.random(shape)
-    z = nu * nu
-    a_b = np.broadcast_to(a_arr, shape)
-    y = z.copy()
-    pos = a_b >= TINY_A
-    if np.any(pos):
-        ap = a_b[pos]
-        zp = z[pos]
-        mu = 1.0 / ap
-        t = mu * zp
-        big = mu * (1.0 + 0.5 * t + 0.5 * np.sqrt(t) * np.sqrt(4.0 + t))
-        small = mu * mu / big
-        accept_small = u[pos] <= mu / (mu + small)
-        y[pos] = ap * ap * np.where(accept_small, big, small)
-    return y
+    np.multiply(z, z, out=z)
+    # the scalar branch's formulas and operand order, in place on 4 buffers
+    a_pos = np.maximum(a, TINY_A)
+    mu, t, big, root = (np.empty(shape) for _ in range(4))
+    np.divide(1.0, a_pos, out=mu)
+    np.multiply(mu, z, out=t)
+    np.sqrt(np.add(4.0, t, out=big), out=big)
+    np.multiply(0.5, np.sqrt(t, out=root), out=root)
+    np.multiply(root, big, out=big)
+    np.add(1.0, np.multiply(0.5, t, out=t), out=t)
+    np.multiply(mu, np.add(t, big, out=big), out=big)
+    small = np.divide(np.multiply(mu, mu, out=t), big, out=t)
+    ratio = np.divide(mu, np.add(mu, small, out=root), out=root)
+    np.copyto(big, small, where=u > ratio)
+    np.multiply(np.multiply(a_pos, a_pos, out=mu), big, out=big)
+    np.copyto(big, z, where=a < TINY_A)
+    return big

@@ -63,8 +63,12 @@ __all__ = [
 #: Uniform statistical slack used by every audit.
 SE_SLACK = 3.0
 
-#: Fixed slice budgets (bytes of the dominant array) so that the stream
-#: layout — and hence every output — depends only on the configuration.
+#: Fixed slice budgets so that the stream layout — and hence every output —
+#: depends only on the configuration.  The dense budget (64 MB / 8n^2
+#: samples) sized the (B, n, n) operator stacks of a deleted evaluation; it
+#: is kept only because it fixes where the exact draws of non-path graphs
+#: split into slices, so replacing it (by one budget in n*b, say) changes
+#: every Monte-Carlo output there for a fixed seed.
 _DENSE_SLICE_BYTES = 1 << 26
 _LINEAR_SLICE_SCALARS = 1 << 22
 _MAX_SLICE = 1 << 16

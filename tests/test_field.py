@@ -278,6 +278,29 @@ class TestExactSampler:
             ab[band + i - j, j] = -g.weights
             cholesky_banded(ab)
 
+    @pytest.mark.parametrize(
+        "g", [build_grid((30,), 1.0, boundary="wired"), build_box(2, 3, 1.0, boundary="wired")],
+        ids=["path", "box-d2"],
+    )
+    def test_draws_go_through_the_module_global(self, g, monkeypatch):
+        # the benchmark stamps its set-up time and times each draw by
+        # wrapping rsolab.field.sample_rig; a draw bound elsewhere would
+        # escape both, so the wrapper must see every element, and the
+        # quadrature oracle, which reads its pivots, none
+        drawn = []
+
+        def counting(a, rng, size=None):
+            y = sample_rig(a, rng, size)
+            drawn.append(np.size(y))
+            return y
+
+        monkeypatch.setattr(field, "sample_rig", counting)
+        sample_beta_batch(g, 37, philox_stream(5))
+        assert sum(drawn) == g.n_vertices * 37
+        drawn.clear()
+        quadrature_oracle(two_path(1.0), lambda b: np.ones(b.shape[0]))
+        assert drawn == []
+
     def test_laplace_transform_match(self):
         g = build_grid((2, 2), 1.0, boundary="wired")
         lam = np.array([0.4, 0.1, 0.0, 0.7])

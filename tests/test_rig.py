@@ -20,6 +20,47 @@ from rsolab.rng import philox_stream
 
 A_GRID = (0.0, 0.1, 1.0, 10.0)
 
+#: Parameters at and around the zero branch, where the array draw clamps.
+EDGE_GRID = (0.0, TINY_A / 2, TINY_A, 1e-3, 1.3, 1e6, -0.0)
+
+#: Source of the parameter arrays in the frozen-draw comparisons.
+RNG_A = np.random.default_rng(3)
+
+#: Parameters every public function must reject.
+BAD_PARAMETERS = pytest.mark.parametrize(
+    "bad", (-0.5, -np.inf, np.nan, np.inf), ids=["negative", "-inf", "nan", "inf"]
+)
+
+
+def masked_array_draw(a, rng, size=None):
+    """Frozen copy of the array draw as it was before the in-place rewrite.
+
+    The positive entries are gathered through a boolean mask, computed
+    apart, and scattered back over the squared normals.
+    """
+    a_arr = np.asarray(a, dtype=float)
+    if size is None:
+        shape = a_arr.shape
+    else:
+        shape = (size,) if np.isscalar(size) else tuple(size)
+        shape = np.broadcast_shapes(a_arr.shape, shape)
+    nu = rng.standard_normal(shape)
+    u = rng.random(shape)
+    z = nu * nu
+    a_b = np.broadcast_to(a_arr, shape)
+    y = z.copy()
+    pos = a_b >= TINY_A
+    if np.any(pos):
+        ap = a_b[pos]
+        zp = z[pos]
+        mu = 1.0 / ap
+        t = mu * zp
+        big = mu * (1.0 + 0.5 * t + 0.5 * np.sqrt(t) * np.sqrt(4.0 + t))
+        small = mu * mu / big
+        accept_small = u[pos] <= mu / (mu + small)
+        y[pos] = ap * ap * np.where(accept_small, big, small)
+    return y
+
 
 def cdf_by_quadrature(a: float, y: float) -> float:
     """Reference CDF: adaptive quadrature of the density on (0, y].
@@ -156,11 +197,86 @@ class TestSampler:
             assert np.float64(scalar).tobytes() == array.tobytes()
         assert rng_s.random() == rng_a.random()
 
+    @pytest.mark.parametrize("a", EDGE_GRID)
+    def test_array_draw_matches_frozen_masked_draw(self, a):
+        assert_matches_masked_draw(np.full(301, a), None)
+
+    @pytest.mark.parametrize(
+        "a, size",
+        [
+            (np.concatenate([EDGE_GRID, np.zeros(40), RNG_A.exponential(2.0, 400)]), None),
+            (RNG_A.exponential(2.0, (3, 50)) * (np.arange(50) % 3 > 0), None),
+            (np.array(1.3), 9),
+            (np.array(0.0), (2, 3)),
+            (np.array([0.0, 1e-3, 1.3, 1e6]), (5, 4)),
+            (np.array([[0.0], [2.5]]), (2, 6)),
+            (np.array([]), None),
+            (np.array(0.7), 0),
+        ],
+        ids=[
+            "mixed-zeros", "2d-zeros", "0d-size", "0d-zero-size",
+            "size-broadcast", "column-broadcast", "empty", "size-0",
+        ],
+    )
+    def test_array_draw_matches_frozen_masked_draw_on_shapes(self, a, size):
+        assert_matches_masked_draw(a, size)
+
+    def test_zero_dimensional_draw(self):
+        # size=() takes the array branch, which returns a 0-d array
+        y = sample_rig(np.array(1.3), philox_stream(3), size=())
+        assert y.shape == () and y.tobytes() == np.float64(sample_rig(1.3, philox_stream(3))).tobytes()
+
     def test_broadcasts_parameter_array(self):
         a = np.array([0.0, 1.0, 5.0])
         ys = sample_rig(a, philox_stream(1))
         assert ys.shape == (3,)
         assert np.all(ys > 0)
+
+
+def assert_matches_masked_draw(a, size):
+    # twin streams: the same bytes, and the same stream position after
+    rng_new, rng_old = philox_stream(43), philox_stream(43)
+    new = sample_rig(a, rng_new, size=size)
+    old = masked_array_draw(a, rng_old, size=size)
+    assert isinstance(new, np.ndarray)
+    assert new.shape == old.shape
+    assert new.tobytes() == old.tobytes()
+    assert rng_new.random() == rng_old.random()
+
+
+@pytest.mark.filterwarnings("error")
+class TestParameterValidation:
+    # NaN passes a bare "a < 0" test and inf makes mu = 1/a zero, so both
+    # need the check; warnings are errors here, so it must come first
+
+    @BAD_PARAMETERS
+    def test_scalar_draw_rejects(self, bad):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            sample_rig(bad, philox_stream(0))
+
+    @BAD_PARAMETERS
+    def test_array_draw_rejects_without_drawing(self, bad):
+        rng = philox_stream(0)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            sample_rig(np.array([bad, 1.0]), rng)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            sample_rig(np.array([0.0, 1.0, bad]), rng, size=(2, 3))
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            sample_rig(bad, rng, size=4)
+        assert rng.random() == philox_stream(0).random()
+
+    @BAD_PARAMETERS
+    def test_density_and_cdf_reject(self, bad):
+        for fn in (rig_logpdf, rig_pdf, rig_cdf):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                fn(bad, 1.0)
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                fn(np.array([1.0, bad]), np.array([0.5, 2.0]))
+
+    def test_negative_zero_is_zero(self):
+        assert sample_rig(-0.0, philox_stream(2)) == sample_rig(0.0, philox_stream(2))
+        assert rig_cdf(-0.0, 0.7) == rig_cdf(0.0, 0.7)
+        assert rig_logpdf(-0.0, 0.7) == rig_logpdf(0.0, 0.7)
 
 
 @given(
