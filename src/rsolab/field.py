@@ -46,7 +46,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .graphs import DENSE_MAX, WeightedGraph
+from .graphs import WeightedGraph
 from .rig import sample_rig
 from .rng import philox_stream
 
@@ -64,6 +64,7 @@ __all__ = [
     "gibbs_sweep",
     "sample_field",
     "gibbs_chain",
+    "slice_size",
     "sample_beta_batch",
     "exact_field",
     "quadrature_oracle",
@@ -71,10 +72,9 @@ __all__ = [
 
 LOG_2_OVER_PI = math.log(2.0 / math.pi)
 
-#: Batch sizing for the exact sampler: a fixed scalar budget so that chunk
-#: boundaries (and hence the random stream layout) depend only on the graph
-#: size, never on memory pressure.
-BATCH_SCALARS = 1 << 24
+#: Budget in n*b scalars and cap in samples of one slice (:func:`slice_size`).
+SLICE_SCALARS = 1 << 22
+MAX_SLICE = 1 << 16
 
 
 class PositivityLossError(RuntimeError):
@@ -145,8 +145,6 @@ def log_density(f: BetaField) -> float:
     n = g.n_vertices
     if n == 0:
         raise ValueError("empty graph")
-    if n > DENSE_MAX:
-        raise ValueError(f"density evaluation refused for n={n} > {DENSE_MAX}")
     m = _dense_operator(g, f.beta)
     try:
         c, lower = cho_factor(m, lower=True, check_finite=False)
@@ -398,23 +396,36 @@ def _border_band(g: WeightedGraph, plan, n_samples: int, pivot: Callable, q=None
     return beta
 
 
+def slice_size(g: WeightedGraph) -> int:
+    """Samples per slice of exact draws on g; this fixes the stream layout.
+
+    :func:`sample_beta_batch` draws, and the estimators of :mod:`rsolab.stats`
+    evaluate, in slices of this size.  With n vertices and b =
+    ``g.bandwidth``, a slice of S <= ``MAX_SLICE`` samples keeps S*n*b <=
+    ``SLICE_SCALARS`` = 2^22 scalars (32 MB) unless one sample exceeds that:
+    the beta block stays within it, the sampler's windows and a Green
+    solve's band within about twice it.  The size depends on the graph
+    alone, so reruns are byte-identical.
+    """
+    return min(MAX_SLICE, max(1, SLICE_SCALARS // (g.n_vertices * g.bandwidth)))
+
+
 def sample_beta_batch(g: WeightedGraph, n_samples: int, rng: np.random.Generator) -> np.ndarray:
     """Exact i.i.d. field samples, shape (n_samples, n_vertices).
 
-    Memory-chunked with a fixed scalar budget so the random stream layout
-    depends only on the graph, keeping reruns byte-identical.
+    Drawn in slices of :func:`slice_size`, one after another on ``rng``.
     """
     if g.n_vertices == 0:
         raise ValueError("empty graph")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     plan = _band_plan(g)
-    chunk = max(1, BATCH_SCALARS // max(g.n_vertices, plan[0] ** 2))
+    size = slice_size(g)
     # sample_rig is looked up in this module at every draw, so a wrapper set
     # on rsolab.field.sample_rig (the benchmark's timers) sees every element
     parts = [
-        _border_band(g, plan, min(chunk, n_samples - start), lambda k, a: sample_rig(a, rng))
-        for start in range(0, n_samples, chunk)
+        _border_band(g, plan, min(size, n_samples - start), lambda k, a: sample_rig(a, rng))
+        for start in range(0, n_samples, size)
     ]
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 

@@ -53,10 +53,6 @@ __all__ = [
     "dump_matrix",
 ]
 
-#: Largest dense operator accepted (dense form, full inverse); eigenvalue
-#: counts and Green solves are unbounded.
-DENSE_CUTOFF = DENSE_MAX
-
 #: Residual guarantee for Green solves (infinity norm, after one refinement).
 GREEN_RESIDUAL_TOL = 1e-10
 
@@ -108,8 +104,8 @@ class OperatorMatrix:
         return self.graph.n_vertices
 
     def to_dense(self) -> np.ndarray:
-        if self.n > DENSE_CUTOFF:
-            raise ValueError(f"dense form refused for n={self.n} > {DENSE_CUTOFF}")
+        if self.n > DENSE_MAX:
+            raise ValueError(f"dense form refused for n={self.n} > {DENSE_MAX}")
         m = np.zeros((self.n, self.n))
         i, j = self.graph.edges[:, 0], self.graph.edges[:, 1]
         m[i, j] = self.offdiag
@@ -299,8 +295,6 @@ def green_column(m: OperatorMatrix, j: int) -> np.ndarray:
 
 def green_matrix(m: OperatorMatrix) -> np.ndarray:
     """Full inverse (dense), symmetrized."""
-    if m.n > DENSE_CUTOFF:
-        raise ValueError(f"full inverse refused for n={m.n} > {DENSE_CUTOFF}")
     dense = m.to_dense()
     try:
         c = cho_factor(dense, lower=True, check_finite=False)
@@ -360,12 +354,10 @@ def schur_y_and_a(f: BetaField, j: int) -> tuple[float, float]:
     a_full = float(col @ g.eta) / col[j]
 
     # Route 2: Schur complement through the graph with j removed.
-    nbr_mask = np.zeros(g.n_vertices, dtype=bool)
     i0, j0 = g.edges[:, 0], g.edges[:, 1]
     wrow = np.zeros(g.n_vertices)
     wrow[j0[i0 == j]] = g.weights[i0 == j]
     wrow[i0[j0 == j]] = g.weights[j0 == j]
-    nbr_mask = wrow > 0
     sub = remove_vertex(g, j)
     keep = np.arange(g.n_vertices) != j
     if sub.n_vertices:

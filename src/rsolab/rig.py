@@ -46,13 +46,20 @@ def _check_parameter(a) -> None:
         raise ValueError("parameter a must be finite and nonnegative")
 
 
+def _check_point(y) -> None:
+    """Raise ValueError if y, an ndarray, holds a NaN."""
+    if np.isnan(y).any():
+        raise ValueError("point y must not be NaN")
+
+
 def rig_logpdf(a, y):
-    """Log-density of rho_a at y (elementwise; -inf for y <= 0)."""
+    """Log-density of rho_a at y (elementwise; -inf for y <= 0 and y = inf)."""
     a = np.asarray(a, dtype=float)
     y = np.asarray(y, dtype=float)
     _check_parameter(a)
+    _check_point(y)
     out = np.full(np.broadcast_shapes(a.shape, y.shape), -np.inf)
-    pos = np.broadcast_to(y > 0, out.shape)
+    pos = np.broadcast_to((y > 0) & (y < np.inf), out.shape)
     aa = np.broadcast_to(a, out.shape)[pos]
     yy = np.broadcast_to(y, out.shape)[pos]
     out[pos] = aa - _LOG_SQRT_2PI - 0.5 * np.log(yy) - 0.5 * (yy + aa * aa / yy)
@@ -60,7 +67,7 @@ def rig_logpdf(a, y):
 
 
 def rig_pdf(a, y):
-    """Density of rho_a at y (elementwise; 0 for y <= 0)."""
+    """Density of rho_a at y (elementwise; 0 for y <= 0 and y = inf)."""
     return np.exp(rig_logpdf(a, y))
 
 
@@ -69,13 +76,16 @@ def rig_cdf(a, y):
 
     For a = 0 this reduces to the chi-squared(1) CDF; for a > 0 the
     exponentially weighted term is evaluated in log space so large a does
-    not overflow.
+    not overflow.  The CDF is 0 for y <= 0 and 1 at y = inf; a NaN y, like
+    a NaN a, raises ValueError.
     """
     a = np.asarray(a, dtype=float)
     y = np.asarray(y, dtype=float)
     _check_parameter(a)
+    _check_point(y)
     out = np.zeros(np.broadcast_shapes(a.shape, y.shape))
-    pos = np.broadcast_to(y > 0, out.shape)
+    out[np.broadcast_to(y == np.inf, out.shape)] = 1.0
+    pos = np.broadcast_to((y > 0) & (y < np.inf), out.shape)
     aa = np.broadcast_to(a, out.shape)[pos]
     yy = np.broadcast_to(y, out.shape)[pos]
     r = np.sqrt(yy)

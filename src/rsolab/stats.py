@@ -5,9 +5,10 @@ chain, evaluate a per-sample statistic vector in fixed-size slices, and
 reduce (count, sum, centred sum of squares) in slice and chain order.  The
 draws are independent, so every reported standard error is valid by
 construction; correlated Gibbs chains enter only :func:`gamma_chain_check`,
-whose SE comes from :func:`batch_means`.  The slice sizes are fixed
-functions of the graph size, so a rerun with the same configuration and
-seed reproduces every draw — and therefore every report — bit for bit.
+whose SE comes from :func:`batch_means`.  Slices are the exact sampler's,
+sized by :func:`~rsolab.field.slice_size` from n*b alone (n vertices, b the
+bandwidth), so a rerun with the same configuration and seed reproduces
+every draw — and therefore every report — bit for bit.
 Chains run one after another in chain order, so no output depends on the
 machine's core count.
 
@@ -27,7 +28,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy.special import gammainc
 
-from .field import laplace_exact, sample_beta_batch
+from .field import laplace_exact, sample_beta_batch, slice_size
 from .graphs import WeightedGraph, build_box, remove_vertex
 from .operators import (
     FactorizationError,
@@ -62,16 +63,6 @@ __all__ = [
 
 #: Uniform statistical slack used by every audit.
 SE_SLACK = 3.0
-
-#: Fixed slice budgets so that the stream layout — and hence every output —
-#: depends only on the configuration.  The dense budget (64 MB / 8n^2
-#: samples) sized the (B, n, n) operator stacks of a deleted evaluation; it
-#: is kept only because it fixes where the exact draws of non-path graphs
-#: split into slices, so replacing it (by one budget in n*b, say) changes
-#: every Monte-Carlo output there for a fixed seed.
-_DENSE_SLICE_BYTES = 1 << 26
-_LINEAR_SLICE_SCALARS = 1 << 22
-_MAX_SLICE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -147,27 +138,20 @@ def _chain_sizes(total: int, chains: int) -> list[int]:
     return [base + (1 if c < extra else 0) for c in range(chains)]
 
 
-def _slice_size(n_vertices: int, dense: bool) -> int:
-    if dense:
-        per = _DENSE_SLICE_BYTES // max(1, 8 * n_vertices * n_vertices)
-    else:
-        per = _LINEAR_SLICE_SCALARS // max(1, n_vertices)
-    return int(min(_MAX_SLICE, max(1, per)))
-
-
-def _chain_slices(g: WeightedGraph, cfg: MonteCarloConfig, dense: bool):
+def _chain_slices(g: WeightedGraph, cfg: MonteCarloConfig):
     """Yield (chain, slice) pairs of exact (b, n) beta slices in chain order.
 
-    Each chain draws from its own stream at a fixed slice cadence.
+    Each chain draws on its own stream, in the sampler's own slices, so its
+    slices join into what one ``sample_beta_batch`` call draws.
     """
-    size = _slice_size(g.n_vertices, dense)
+    size = slice_size(g)
     for chain, n_chain in enumerate(_chain_sizes(cfg.n_samples, cfg.chains)):
         rng = philox_stream(cfg.seed, chain)
         for done in range(0, n_chain, size):
             yield chain, sample_beta_batch(g, min(size, n_chain - done), rng)
 
 
-def _run_chains(g: WeightedGraph, cfg: MonteCarloConfig, eval_slice, k: int, dense: bool):
+def _run_chains(g: WeightedGraph, cfg: MonteCarloConfig, eval_slice, k: int):
     """Mean and SE of a k-vector statistic; deterministic ordered reduction.
 
     eval_slice maps a (b, n) beta slice to a (b, k) statistic array.  Slices
@@ -175,7 +159,7 @@ def _run_chains(g: WeightedGraph, cfg: MonteCarloConfig, eval_slice, k: int, den
     """
     empty = (0, np.zeros(k), np.zeros(k))
     total = empty
-    for _, slices in groupby(_chain_slices(g, cfg, dense), key=itemgetter(0)):
+    for _, slices in groupby(_chain_slices(g, cfg), key=itemgetter(0)):
         acc = empty
         for _, block in slices:
             vals = eval_slice(block)
@@ -205,9 +189,9 @@ def _merge_moments(a, b):
     return n, sa + sb, m2a + m2b + d * d * (na * nb / n)
 
 
-def _collect_values(g: WeightedGraph, cfg: MonteCarloConfig, eval_slice, dense: bool) -> np.ndarray:
+def _collect_values(g: WeightedGraph, cfg: MonteCarloConfig, eval_slice) -> np.ndarray:
     """All per-sample scalar values, in chain order (for KS-style tests)."""
-    return np.concatenate([eval_slice(block) for _, block in _chain_slices(g, cfg, dense)])
+    return np.concatenate([eval_slice(block) for _, block in _chain_slices(g, cfg)])
 
 
 def batch_means(chains) -> tuple[float, float]:
@@ -340,8 +324,6 @@ def estimate_ids(
         def eval_slice(betas: np.ndarray) -> np.ndarray:
             diag = 2.0 * betas / w + shift
             return sturm_counts_batch(diag, off, energies) / n
-
-        dense = False
     else:
 
         def eval_slice(betas: np.ndarray) -> np.ndarray:
@@ -351,9 +333,7 @@ def estimate_ids(
                 out[i] = count_eigenvalues_many(m, energies) / n
             return out
 
-        dense = True
-
-    mean, se, n_tot = _run_chains(g, cfg, eval_slice, k, dense)
+    mean, se, n_tot = _run_chains(g, cfg, eval_slice, k)
     ests = tuple(
         EstimateWithCI(value=float(m), std_error=float(s), n_samples=n_tot, seed=cfg.seed)
         for m, s in zip(mean, se)
@@ -514,7 +494,7 @@ def decay_moment_fit(
             return cols[:, targets] ** 0.25
         return np.sqrt(cols[:, targets] / cols[:, center, None])
 
-    mean, se, _ = _run_chains(g, cfg, eval_slice, k, dense=True)
+    mean, se, _ = _run_chains(g, cfg, eval_slice, k)
     dists = np.arange(0, half_side + 1, dtype=np.int64)
     logm = np.log(mean)
     a = np.column_stack([dists.astype(float), np.ones(k)])
@@ -605,7 +585,7 @@ def localization_event_probabilities(
             [ev_ratio, ev_diag, ev_deleted, localized, implication_fail, tail, localized & big_simple]
         ).astype(float)
 
-    mean, se, n_tot = _run_chains(g, cfg, eval_slice, 7, dense=True)
+    mean, se, n_tot = _run_chains(g, cfg, eval_slice, 7)
     tail_bound = float(gammainc(0.5, w * math.exp(-decay_rate * half_side) / 2.0))
     names = [
         "ratio_decay",
@@ -653,7 +633,7 @@ def gamma_marginal_test(g: WeightedGraph, cfg: MonteCarloConfig, vertex: int = 0
     if not 0 <= vertex < g.n_vertices:
         raise ValueError("vertex out of range")
 
-    xs = _collect_values(g, cfg, partial(_pinning_rate, g, vertex=vertex), dense=True)
+    xs = _collect_values(g, cfg, partial(_pinning_rate, g, vertex=vertex))
     n = xs.size
     mean = float(xs.mean())
     se_mean = float(xs.std(ddof=1) / math.sqrt(n))
@@ -692,7 +672,7 @@ def laplace_audit(g: WeightedGraph, lam_vectors, cfg: MonteCarloConfig) -> dict:
     def eval_slice(betas: np.ndarray) -> np.ndarray:
         return np.exp(-(betas @ lams.T))
 
-    mean, se, n_tot = _run_chains(g, cfg, eval_slice, lams.shape[0], dense=False)
+    mean, se, n_tot = _run_chains(g, cfg, eval_slice, lams.shape[0])
     rows = []
     for i in range(lams.shape[0]):
         exact = laplace_exact(g, lams[i])
@@ -742,7 +722,7 @@ def ward_moment_check(
         single = np.cosh(u[:, center]) ** 2
         return np.column_stack([pair, single])
 
-    mean, se, n_tot = _run_chains(g, cfg, eval_slice, 2, dense=True)
+    mean, se, n_tot = _run_chains(g, cfg, eval_slice, 2)
     pair_est = EstimateWithCI(float(mean[0]), float(se[0]), n_tot, cfg.seed)
     single_est = EstimateWithCI(float(mean[1]), float(se[1]), n_tot, cfg.seed)
     return {
@@ -807,7 +787,7 @@ def martingale_check(
                 p += 1
         return np.concatenate([psi, bracket, diffs], axis=1)
 
-    mean, se, n_tot = _run_chains(g, cfg, eval_slice, 2 * k + n_pairs, dense=True)
+    mean, se, n_tot = _run_chains(g, cfg, eval_slice, 2 * k + n_pairs)
     rows = []
     for t, l_half in enumerate(inner):
         psi_est = EstimateWithCI(float(mean[t]), float(se[t]), n_tot, cfg.seed)
@@ -874,7 +854,7 @@ def monotonicity_check(
     results, quad = {}, {}
     for name, g in (("low", g_low), ("high", g_high)):
         stat = partial(_green_ratio, g, s=source, t=target)
-        vals = _collect_values(g, cfg, stat, dense=True)
+        vals = _collect_values(g, cfg, stat)
         n = vals.size
         results[name] = EstimateWithCI(
             float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n)), n, cfg.seed

@@ -12,10 +12,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rsolab.field import BetaField, exact_field, sample_beta_batch
+from rsolab.field import BetaField, exact_field, log_density, sample_beta_batch
 from rsolab.graphs import DENSE_MAX, WeightedGraph, build_box, build_grid
 from rsolab.operators import (
-    DENSE_CUTOFF,
     GREEN_RESIDUAL_TOL,
     MATRIX_DUMP_HEADER,
     PIVMIN,
@@ -298,7 +297,7 @@ class TestGreen:
         assert np.max(np.abs(m.to_dense() @ gm - np.eye(m.n))) < 1e-9
 
     def test_banded_path_solve_beyond_dense_cutoff(self):
-        n = DENSE_CUTOFF + 16
+        n = DENSE_MAX + 16
         g = build_grid((n,), 1.0, boundary="zero", max_vertices=n)
         m = assemble(BetaField(graph=g, beta=np.ones(n)))
         col = green_column(m, n // 2)
@@ -314,7 +313,7 @@ class TestGreen:
         with pytest.raises(FactorizationError):
             green_column(m, 0)
         # a path longer than the dense cutoff fails with the same error type
-        n = DENSE_CUTOFF + 16
+        n = DENSE_MAX + 16
         g = build_grid((n,), 4.0, boundary="zero", max_vertices=n)
         m = assemble(BetaField(graph=g, beta=np.full(n, 0.5)))
         with pytest.raises(FactorizationError):
@@ -324,6 +323,15 @@ class TestGreen:
         m = assemble(path_field(3, 1.0, 1.0))
         with pytest.raises(ValueError):
             green_column(m, 3)
+
+    def test_dense_forms_refused_above_dense_max(self):
+        n = DENSE_MAX + 1
+        g = build_grid((n,), 1.0, boundary="zero", max_vertices=n)
+        f = BetaField(graph=g, beta=np.ones(n))
+        m = assemble(f)
+        for dense_form in (m.to_dense, lambda: green_matrix(m), lambda: log_density(f), g.weight_matrix):
+            with pytest.raises(ValueError, match="refused"):
+                dense_form()
 
 
 class TestLogField:

@@ -273,6 +273,23 @@ class TestParameterValidation:
             with pytest.raises(ValueError, match="finite and nonnegative"):
                 fn(np.array([1.0, bad]), np.array([0.5, 2.0]))
 
+    def test_density_and_cdf_reject_nan_point(self):
+        for fn in (rig_logpdf, rig_pdf, rig_cdf):
+            with pytest.raises(ValueError, match="must not be NaN"):
+                fn(1.0, np.nan)
+            with pytest.raises(ValueError, match="must not be NaN"):
+                fn(np.array([0.0, 1.0]), np.array([0.5, np.nan]))
+
+    @pytest.mark.parametrize("a", (0.0, 1e-200, 1.0, 1e4))
+    def test_infinite_point(self, a):
+        assert rig_cdf(a, np.inf) == 1.0
+        assert rig_logpdf(a, np.inf) == -np.inf
+        assert rig_pdf(a, np.inf) == 0.0
+        ys = np.array([-np.inf, 0.0, 1.0, np.inf])
+        cdf = rig_cdf(a, ys)
+        assert cdf[0] == cdf[1] == 0.0 and cdf[3] == 1.0
+        assert cdf[2] == rig_cdf(a, 1.0)
+
     def test_negative_zero_is_zero(self):
         assert sample_rig(-0.0, philox_stream(2)) == sample_rig(0.0, philox_stream(2))
         assert rig_cdf(-0.0, 0.7) == rig_cdf(0.0, 0.7)

@@ -15,7 +15,7 @@ import pytest
 from scipy.special import gammainc
 
 from rsolab import stats
-from rsolab.field import _pivots_to_field, sample_beta_batch
+from rsolab.field import _pivots_to_field, sample_beta_batch, slice_size
 from rsolab.graphs import build_box, build_grid, remove_vertex
 from rsolab.operators import FactorizationError, operator_from_two_beta
 from rsolab.rig import rig_cdf
@@ -27,6 +27,7 @@ from rsolab.stats import (
     IdsCurve,
     MonteCarloConfig,
     _chain_sizes,
+    _chain_slices,
     _green_ratio,
     _green_solve,
     batch_means,
@@ -99,6 +100,21 @@ class TestPlumbing:
         # 40,000 = 200 batches of 200: no draw is dropped
         assert mean == pytest.approx(pooled.mean(), abs=1e-12)
         assert se / iid_se == pytest.approx(math.sqrt((1.0 + rho) / (1.0 - rho)), rel=0.2)
+
+    @pytest.mark.parametrize("d, half_side", [(1, 40), (2, 8), (3, 3)])
+    def test_estimator_slices_are_the_sampler_draws(self, d, half_side):
+        # slices and sampler chunks share one rule, so a chain's slices join
+        # into exactly what one sample_beta_batch call draws on its stream
+        g = build_box(d, half_side, w=1.0, boundary="wired")
+        n_chain = slice_size(g) + 1
+        cfg = MonteCarloConfig(n_samples=2 * n_chain, seed=7, chains=2)
+        blocks = {0: [], 1: []}
+        for chain, block in _chain_slices(g, cfg):
+            blocks[chain].append(block)
+        for chain, parts in blocks.items():
+            assert [p.shape[0] for p in parts] == [n_chain - 1, 1]
+            want = sample_beta_batch(g, n_chain, philox_stream(cfg.seed, chain))
+            assert np.concatenate(parts).tobytes() == want.tobytes()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
