@@ -32,7 +32,6 @@ from .field import (
     log_density,
     quadrature_oracle,
     sample_beta_batch,
-    sample_field,
 )
 from .graphs import (
     Pinned,
@@ -125,7 +124,6 @@ __all__ = [
     "QuadratureBudgetError",
     "log_density",
     "laplace_exact",
-    "sample_field",
     "gibbs_chain",
     "sample_beta_batch",
     "exact_field",

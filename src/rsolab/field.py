@@ -25,8 +25,8 @@ Two samplers are provided:
   graph.  One banded bordering sampler runs it, vectorized across samples,
   in O(n b^2) per sample with b the largest index gap of an edge (b = 1 on
   a path).
-* :func:`sample_field` / :func:`gibbs_sweep` — Markov chain with exact
-  single-site conditionals and a rank-one-maintained Green matrix.  No
+* :func:`gibbs_chain` — Markov chain with exact single-site conditionals
+  and a rank-one-maintained Green matrix, refreshed once per sweep.  No
   estimator uses it; it is kept for ``rso sample --sampler gibbs``, the
   batch-means cross-check in ``rso validate`` and the conditional-law
   test C4.
@@ -40,8 +40,8 @@ them, maps y to beta and to <eta, M^-1 eta>.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -53,7 +53,6 @@ from .rng import philox_stream
 __all__ = [
     "BetaField",
     "SamplerConfig",
-    "GreenState",
     "PositivityLossError",
     "QuadratureBudgetError",
     "log_density",
@@ -61,8 +60,6 @@ __all__ = [
     "initial_beta",
     "fresh_green",
     "gibbs_update_site",
-    "gibbs_sweep",
-    "sample_field",
     "gibbs_chain",
     "slice_size",
     "sample_beta_batch",
@@ -108,24 +105,17 @@ class BetaField:
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Gibbs chain configuration.
-
-    refresh_every = None means one full Green recomputation per sweep
-    (i.e. every n site updates).
-    """
+    """Gibbs chain configuration: seed, burn-in sweeps, sweeps between samples."""
 
     seed: int = 0
     burn_in: int = 500
     thinning: int = 10
-    refresh_every: int | None = None
 
     def __post_init__(self):
         if self.burn_in < 0:
             raise ValueError("burn_in must be >= 0")
         if self.thinning < 1:
             raise ValueError("thinning must be >= 1")
-        if self.refresh_every is not None and self.refresh_every < 1:
-            raise ValueError("refresh_every must be >= 1")
 
 
 def _dense_operator(g: WeightedGraph, beta: np.ndarray) -> np.ndarray:
@@ -195,18 +185,6 @@ def laplace_exact(g: WeightedGraph, lam, theta=None) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class GreenState:
-    """Mutable per-chain state: the maintained inverse of the operator.
-
-    Confined to one chain; never shared.
-    """
-
-    green: np.ndarray
-    refresh_every: int
-    since_refresh: int = 0
-
-
 def initial_beta(g: WeightedGraph) -> np.ndarray:
     """Diagonally dominant start: beta_i = (weighted degree + eta_i + 1)/2."""
     return 0.5 * (g.degree_w + g.eta + 1.0)
@@ -219,8 +197,7 @@ def fresh_green(g: WeightedGraph, beta: np.ndarray) -> np.ndarray:
         c = cho_factor(m, lower=True, check_finite=False)
     except LinAlgError as exc:
         raise PositivityLossError(
-            "operator not positive definite at refresh; "
-            "reduce refresh_every or inspect the field"
+            "operator not positive definite at refresh; inspect the field"
         ) from exc
     green = cho_solve(c, np.eye(g.n_vertices), check_finite=False)
     return 0.5 * (green + green.T)
@@ -252,60 +229,32 @@ def gibbs_update_site(
     return y, a
 
 
-def gibbs_sweep(f: BetaField, state: GreenState, rng: np.random.Generator) -> BetaField:
-    """One raster-scan sweep of exact single-site updates.
-
-    Scan order is the fixed vertex order (reproducibility); the Green matrix
-    is refreshed from a fresh factorization every ``state.refresh_every``
-    site updates, which also detects any accumulated loss of positivity.
-    """
-    g = f.graph
-    beta = f.beta.copy()
-    for j in range(g.n_vertices):
-        gibbs_update_site(beta, state.green, g.eta, j, rng)
-        state.since_refresh += 1
-        if state.since_refresh >= state.refresh_every:
-            state.green = fresh_green(g, beta)
-            state.since_refresh = 0
-    return BetaField(graph=g, beta=beta, w=f.w, provenance=f.provenance)
-
-
-def sample_field(g: WeightedGraph, cfg: SamplerConfig, chain: int = 0) -> Iterator[BetaField]:
-    """Infinite stream of Gibbs samples: burn in, then every thinning-th sweep.
-
-    Deterministic given (cfg.seed, chain).  The first yielded field (like all
-    others) has a positive-definite operator by construction.
-    """
-    if g.n_vertices == 0:
-        raise ValueError("empty graph")
-    rng = philox_stream(cfg.seed, chain)
-    refresh = cfg.refresh_every if cfg.refresh_every is not None else g.n_vertices
-    beta = initial_beta(g)
-    f = BetaField(graph=g, beta=beta, provenance=f"gibbs seed={cfg.seed} chain={chain}")
-    state = GreenState(green=fresh_green(g, beta), refresh_every=refresh)
-    for _ in range(cfg.burn_in):
-        f = gibbs_sweep(f, state, rng)
-    sweep = cfg.burn_in
-    while True:
-        for _ in range(cfg.thinning):
-            f = gibbs_sweep(f, state, rng)
-        sweep += cfg.thinning
-        yield BetaField(
-            graph=g,
-            beta=f.beta,
-            w=f.w,
-            provenance=f"gibbs seed={cfg.seed} chain={chain} sweep={sweep}",
-        )
-
-
 def gibbs_chain(
     g: WeightedGraph, cfg: SamplerConfig, n_samples: int, chain: int = 0
 ) -> np.ndarray:
-    """Collect n_samples thinned Gibbs configurations as an (n_samples, n) array."""
-    stream = sample_field(g, cfg, chain=chain)
+    """Thinned Gibbs configurations as an (n_samples, n) array.
+
+    Each sweep updates every site once, in the fixed vertex order
+    (reproducibility), then recomputes the Green matrix from a fresh
+    factorization, which also detects any accumulated loss of positivity.
+    Row k is the field after sweep ``burn_in + (k+1)*thinning``.
+    Deterministic given (cfg.seed, chain).
+    """
+    if g.n_vertices == 0:
+        raise ValueError("empty graph")
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    rng = philox_stream(cfg.seed, chain)
+    beta = initial_beta(g)
+    green = fresh_green(g, beta)
     out = np.empty((n_samples, g.n_vertices))
-    for k in range(n_samples):
-        out[k] = next(stream).beta
+    for sweep in range(1, cfg.burn_in + n_samples * cfg.thinning + 1):
+        for j in range(g.n_vertices):
+            gibbs_update_site(beta, green, g.eta, j, rng)
+        green = fresh_green(g, beta)
+        k, rest = divmod(sweep - cfg.burn_in, cfg.thinning)
+        if k > 0 and rest == 0:
+            out[k - 1] = beta
     return out
 
 

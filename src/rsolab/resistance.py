@@ -18,11 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import BetaField, sample_beta_batch
+from .field import BetaField, sample_beta_batch, slice_size
 from .graphs import WeightedGraph, build_box
 from .operators import (
     FactorizationError,
-    OperatorMatrix,
     green_column,
     operator_from_two_beta,
 )
@@ -99,13 +98,15 @@ class IdentityReport:
 
     lhs is the tilted Dirichlet Green value at the center, rhs the effective
     resistance of the conductance network; harmonic_residual is the max
-    absolute component of the tilted operator applied to h.
+    absolute component of the tilted operator applied to h; nash_williams is
+    the network's cutset lower bound on rhs.
     """
 
     lhs: float
     rhs: float
     rel_err: float
     harmonic_residual: float
+    nash_williams: float
 
 
 def subbox_indices(g: WeightedGraph, half_side: int) -> np.ndarray:
@@ -311,7 +312,11 @@ def identity_check(
 
     rel = abs(lhs_val - rhs_val) / max(abs(lhs_val), abs(rhs_val))
     report = IdentityReport(
-        lhs=lhs_val, rhs=rhs_val, rel_err=rel, harmonic_residual=harm
+        lhs=lhs_val,
+        rhs=rhs_val,
+        rel_err=rel,
+        harmonic_residual=harm,
+        nash_williams=nash_williams_bound(net),
     )
     if check and (rel > tol or harm > HARMONIC_TOL):
         raise IdentityMismatchError(
@@ -334,20 +339,18 @@ def pinning_gamma_ks(
     grows (below the critical coupling); this reports the trend without
     asserting it.
     """
-    from scipy.special import gammainc
-    from scipy.stats import kstest
+    from .stats import _gamma_ks, _pinning_rate  # stats imports this module
 
     rows = []
     for chain, k in enumerate(k_values):
         g = build_box(d, k, w=w, boundary="wired")
-        rng = philox_stream(seed, chain=chain)
-        betas = sample_beta_batch(g, n_samples, rng)
-        center = g.center_index
-        vals = np.empty(n_samples)
-        for i in range(n_samples):
-            fld = BetaField(graph=g, beta=betas[i], w=w, provenance="exact")
-            s = build_surrogate(fld)
-            vals[i] = 0.5 / s.g00
-        stat = kstest(vals, lambda x: gammainc(0.5, x)).statistic
-        rows.append({"K": k, "ks_distance": float(stat), "n_samples": n_samples})
+        betas = sample_beta_batch(g, n_samples, philox_stream(seed, chain))
+        size = slice_size(g)
+        vals = np.concatenate(
+            [
+                _pinning_rate(g, betas[i : i + size], g.center_index)
+                for i in range(0, n_samples, size)
+            ]
+        )
+        rows.append({"K": k, "ks_distance": _gamma_ks(vals), "n_samples": n_samples})
     return rows

@@ -101,10 +101,16 @@ class IdsCurve:
 
 @dataclass(frozen=True)
 class DecayFit:
-    """Log-linear fit of a Green-moment profile along a lattice axis."""
+    """Log-linear fit of a Green-moment profile along a lattice axis.
+
+    log_moment_std_errors are the delta-method SEs se/mean of the log
+    moments.  The moments are correlated across distances, so no SE of the
+    fitted rate follows from them.
+    """
 
     distances: np.ndarray
     log_moments: np.ndarray
+    log_moment_std_errors: np.ndarray
     decay_rate: float
     prefactor: float
     r_squared: float
@@ -506,6 +512,7 @@ def decay_moment_fit(
     return DecayFit(
         distances=dists,
         log_moments=logm,
+        log_moment_std_errors=se / mean,
         decay_rate=float(-coef[0]),
         prefactor=float(np.exp(coef[1])),
         r_squared=r2,

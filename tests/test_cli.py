@@ -142,8 +142,7 @@ class TestSample:
         assert code == 0
         capsys.readouterr()
         eff = load_summary(tmp_path, "sample")["results"]["effective"]
-        assert eff == {"seed": 42, "burn_in": 30, "thinning": 2, "chains": 2,
-                       "refresh_every": None}
+        assert eff == {"seed": 42, "burn_in": 30, "thinning": 2, "chains": 2}
 
     def test_flag_beats_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "sampler.cfg"
@@ -165,7 +164,7 @@ class TestSample:
     def test_gibbs_settings_validated_for_every_sampler(self, tmp_path, capsys):
         # the summary reports these settings, so the exact sampler checks them too
         code = run(tmp_path, "sample", "--d", "1", "--L", "1", "--W", "1", "--samples", "2",
-                   "--thinning", "0", "--burn-in", "-3", "--refresh-every", "0")
+                   "--thinning", "0", "--burn-in", "-3")
         assert code == 1
         assert "must be" in capsys.readouterr().err
         assert not (tmp_path / "sample.csv").exists()
@@ -223,8 +222,10 @@ class TestStochasticCommands:
         assert code == 0
         capsys.readouterr()
         lines = (tmp_path / "decay.csv").read_text().splitlines()
-        assert lines[0] == "distance,log_moment,fitted"
+        assert lines[0] == "distance,log_moment,fitted,log_moment_std_error"
         assert len(lines) == 7
+        ses = load_summary(tmp_path, "decay")["results"]["log_moment_std_errors"]
+        assert len(ses) == 6 and ses[0] == 0.0
 
     def test_martingale_quick_run(self, tmp_path, capsys):
         code = run(tmp_path, "martingale", "--d", "1", "--K", "4", "--inner", "1,2",

@@ -31,7 +31,6 @@ from rsolab.field import (
     log_density,
     quadrature_oracle,
     sample_beta_batch,
-    sample_field,
 )
 from rsolab.graphs import DENSE_MAX, WeightedGraph, attach_delta, build_box, build_grid
 from rsolab.operators import FactorizationError
@@ -342,13 +341,60 @@ class TestGibbsSampler:
         # thinned MCMC retains some autocorrelation; allow 2x the iid band
         assert stat < 4.0 / math.sqrt(betas.shape[0])
 
-    def test_sample_field_stream_yields_fields(self):
-        g = build_grid((3,), 1.0)
-        stream = sample_field(g, SamplerConfig(seed=1, burn_in=5, thinning=1))
-        f = next(stream)
-        assert isinstance(f, BetaField)
-        assert f.graph is g
-        assert "sweep" in f.provenance
+    @pytest.mark.parametrize(
+        "g",
+        [
+            build_grid((2, 2), 1.0, boundary="wired"),
+            build_grid((3,), 1.0, boundary="zero"),
+            build_box(2, 2, w=0.3),
+        ],
+        ids=["box2x2-wired", "path3-zero", "box-d2-L2"],
+    )
+    @pytest.mark.parametrize("burn_in, thinning", [(0, 1), (3, 3), (10, 2)])
+    @pytest.mark.parametrize("chain", [0, 1])
+    def test_gibbs_chain_matches_frozen_sweep_reference(self, g, burn_in, thinning, chain):
+        cfg = SamplerConfig(seed=4, burn_in=burn_in, thinning=thinning)
+        want = _reference_gibbs_chain(g, cfg, 5, chain)
+        assert np.array_equal(gibbs_chain(g, cfg, 5, chain=chain), want)
+
+    def test_gibbs_chain_rejects_no_samples(self):
+        with pytest.raises(ValueError, match="n_samples"):
+            gibbs_chain(build_grid((2,), 1.0), SamplerConfig(), 0)
+
+
+def _reference_gibbs_chain(g, cfg, n_samples, chain):
+    """Frozen copy of the generator-and-sweep Gibbs chain that gibbs_chain replaced.
+
+    A stream of BetaFields: burn in, then yield every thinning-th sweep; each
+    sweep copies beta, updates every site in vertex order and refreshes the
+    Green matrix after every n site updates.
+    """
+    n = g.n_vertices
+
+    def sweep(f, state, rng):
+        beta = f.beta.copy()
+        for j in range(n):
+            field.gibbs_update_site(beta, state["green"], g.eta, j, rng)
+            state["since_refresh"] += 1
+            if state["since_refresh"] >= n:
+                state["green"] = field.fresh_green(g, beta)
+                state["since_refresh"] = 0
+        return BetaField(graph=g, beta=beta, w=f.w, provenance=f.provenance)
+
+    def stream():
+        rng = philox_stream(cfg.seed, chain)
+        beta = initial_beta(g)
+        f = BetaField(graph=g, beta=beta)
+        state = {"green": fresh_green(g, beta), "since_refresh": 0}
+        for _ in range(cfg.burn_in):
+            f = sweep(f, state, rng)
+        while True:
+            for _ in range(cfg.thinning):
+                f = sweep(f, state, rng)
+            yield BetaField(graph=g, beta=f.beta, w=f.w)
+
+    fields = stream()
+    return np.array([next(fields).beta for _ in range(n_samples)])
 
 
 def _meshgrid_eval_grid(g, integrand, nodes_1d, weights_1d):

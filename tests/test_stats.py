@@ -268,6 +268,17 @@ class TestDecayFit:
         with pytest.raises(ValueError):
             decay_moment_fit(1, 4, 1.0, "cubic", MonteCarloConfig(n_samples=10))
 
+    def test_log_moment_std_errors(self):
+        fits = [decay_moment_fit(1, 5, 1.0, "ratio", MonteCarloConfig(n_samples=400, seed=s))
+                for s in (31, 32)]
+        for fit in fits:
+            assert fit.log_moment_std_errors.shape == fit.log_moments.shape
+            assert fit.log_moment_std_errors[0] == 0.0
+            assert np.all(fit.log_moment_std_errors[1:] > 0)
+        a, b = fits
+        combined = math.hypot(a.log_moment_std_errors[1], b.log_moment_std_errors[1])
+        assert abs(a.log_moments[1] - b.log_moments[1]) <= 4.0 * combined
+
 
 def _dense_stack(g, betas: np.ndarray, bc: str = "simple", scaled: bool = False, w=None) -> np.ndarray:
     """Dense operators of a (B, n) slice of fields, one (n, n) matrix per row."""
