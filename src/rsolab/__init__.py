@@ -42,6 +42,7 @@ from .graphs import (
     dump_graph,
     load_graph,
     remove_vertex,
+    subbox_indices,
 )
 from .operators import (
     FactorizationError,
@@ -61,7 +62,6 @@ from .operators import (
     u_field,
 )
 from .resistance import (
-    ConductanceNetwork,
     GreenSurrogate,
     IdentityMismatchError,
     IdentityReport,
@@ -72,8 +72,6 @@ from .resistance import (
     harmonic_residual,
     identity_check,
     nash_williams_bound,
-    pinning_gamma_ks,
-    subbox_indices,
     tilted_field,
 )
 from .rig import rig_cdf, rig_logpdf, rig_mode, rig_pdf, sample_rig
@@ -93,6 +91,7 @@ from .stats import (
     localization_event_probabilities,
     martingale_check,
     monotonicity_check,
+    pinning_gamma_ks,
     wegner_audit,
     ward_moment_check,
 )
@@ -104,6 +103,7 @@ __all__ = [
     "Pinned",
     "build_grid",
     "build_box",
+    "subbox_indices",
     "attach_delta",
     "remove_vertex",
     "dump_graph",
@@ -146,11 +146,9 @@ __all__ = [
     "resolvent_identity_residual",
     # resistance
     "GreenSurrogate",
-    "ConductanceNetwork",
     "IdentityReport",
     "NetworkError",
     "IdentityMismatchError",
-    "subbox_indices",
     "build_surrogate",
     "tilted_field",
     "harmonic_residual",
@@ -158,7 +156,6 @@ __all__ = [
     "effective_resistance",
     "nash_williams_bound",
     "identity_check",
-    "pinning_gamma_ks",
     # critical
     "CriticalReport",
     "step_decay_integral",
@@ -180,6 +177,7 @@ __all__ = [
     "decay_moment_fit",
     "localization_event_probabilities",
     "gamma_marginal_test",
+    "pinning_gamma_ks",
     "laplace_audit",
     "ward_moment_check",
     "martingale_check",

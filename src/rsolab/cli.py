@@ -135,9 +135,9 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
-def _mc_config(args: argparse.Namespace) -> MonteCarloConfig:
+def _mc_config(n_samples: int, seed: int, chains: int) -> MonteCarloConfig:
     try:
-        return MonteCarloConfig(n_samples=args.samples, seed=args.seed, chains=args.chains)
+        return MonteCarloConfig(n_samples=n_samples, seed=seed, chains=chains)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -206,12 +206,10 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             return flag_value
         return file_cfg.get(name, default)
 
-    seed = pick("seed", 0)
+    mc = _mc_config(args.samples, pick("seed", 0), pick("chains", 1))
+    seed, chains = mc.seed, mc.chains
     burn_in = pick("burn_in", 500)
     thinning = pick("thinning", 10)
-    chains = pick("chains", 1)
-    if chains < 1:
-        raise ConfigError("chains must be positive")
     # validated for both samplers, since the summary reports these settings
     cfg = SamplerConfig(seed=seed, burn_in=burn_in, thinning=thinning)
 
@@ -223,7 +221,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         )
 
     blocks = []
-    for chain, n_chain in enumerate(_chain_sizes(args.samples, chains)):
+    for chain, n_chain in enumerate(_chain_sizes(mc.n_samples, chains)):
         if n_chain == 0:
             continue
         if args.sampler == "exact":
@@ -274,7 +272,7 @@ def _energy_grid(args: argparse.Namespace) -> np.ndarray:
 
 def _cmd_ids(args: argparse.Namespace) -> int:
     energies = _energy_grid(args)
-    cfg = _mc_config(args)
+    cfg = _mc_config(args.samples, args.seed, args.chains)
     curve = estimate_ids(args.d, args.half_side, args.w, args.bc, energies, cfg)
     try:
         fit = fit_loglog_slope(curve)
@@ -310,7 +308,7 @@ def _cmd_ids(args: argparse.Namespace) -> int:
 
 def _cmd_wegner(args: argparse.Namespace) -> int:
     epsilons = _parse_float_list(args.epsilons, "--epsilons")
-    cfg = _mc_config(args)
+    cfg = _mc_config(args.samples, args.seed, args.chains)
     report = wegner_audit(args.d, args.half_side, args.w, args.bc, args.energy, epsilons, cfg)
     csv_path = write_csv(
         _out_dir(args) / "wegner.csv",
@@ -327,7 +325,7 @@ def _cmd_wegner(args: argparse.Namespace) -> int:
 
 
 def _cmd_decay(args: argparse.Namespace) -> int:
-    cfg = _mc_config(args)
+    cfg = _mc_config(args.samples, args.seed, args.chains)
     fit = decay_moment_fit(args.d, args.half_side, args.w, args.kind, cfg, boundary=args.boundary)
     fitted = np.log(fit.prefactor) - fit.decay_rate * fit.distances
     cols = zip(fit.distances, fit.log_moments, fitted, fit.log_moment_std_errors)
@@ -420,7 +418,7 @@ def _cmd_resistance(args: argparse.Namespace) -> int:
 
 def _cmd_martingale(args: argparse.Namespace) -> int:
     inner = _parse_int_list(args.inner, "--inner")
-    cfg = _mc_config(args)
+    cfg = _mc_config(args.samples, args.seed, args.chains)
     try:
         report = martingale_check(args.d, args.outer_half_side, inner, args.w, cfg)
     except ValueError as exc:
@@ -455,7 +453,7 @@ def _cmd_monotonicity(args: argparse.Namespace) -> int:
         raise ConfigError("--source/--target out of range")
     g_low = build_grid((args.vertices,), w=args.w_low, boundary=args.boundary)
     g_high = build_grid((args.vertices,), w=args.w_high, boundary=args.boundary)
-    cfg = _mc_config(args)
+    cfg = _mc_config(args.samples, args.seed, args.chains)
     report = monotonicity_check(
         g_low, g_high, args.source, target, cfg, quadrature_tol=args.quad_tol
     )
@@ -495,6 +493,8 @@ _VALIDATE_IDENTITY_CASES = ((1, 12, 3, 1.0), (2, 5, 2, 0.5))
 def _cmd_validate(args: argparse.Namespace) -> int:
     from scipy.stats import kstest
 
+    if args.rig_samples < 2:
+        raise ConfigError("--rig-samples must be at least 2 (the RIG checks need a standard error)")
     checks: list[dict] = []
     seed = args.seed
 

@@ -26,6 +26,7 @@ __all__ = [
     "WeightedGraph",
     "build_grid",
     "build_box",
+    "subbox_indices",
     "attach_delta",
     "remove_vertex",
     "dump_graph",
@@ -253,6 +254,20 @@ class WeightedGraph:
         for k, s in enumerate(self.shape):
             idx = idx * s + int(coord[k] - origin[k])
         return idx
+
+
+def subbox_indices(g: WeightedGraph, half_side: int) -> np.ndarray:
+    """Indices of vertices with sup-norm coordinate <= half_side.
+
+    The result is in row-major order of the sub-box, i.e. it matches the
+    vertex order of ``build_box(g.d, half_side, ...)``.
+    """
+    if g.coords is None or g.half_side is None:
+        raise ValueError("sub-box extraction needs a centered box graph")
+    if not 0 <= half_side <= g.half_side:
+        raise ValueError("sub-box half_side out of range")
+    inside = np.all(np.abs(g.coords) <= half_side, axis=1)
+    return np.nonzero(inside)[0]
 
 
 def _resolve_boundary(boundary: BoundaryKind, outside_count: np.ndarray, w: float) -> np.ndarray:

@@ -122,6 +122,14 @@ class OperatorMatrix:
         return out
 
 
+def _checked_bc(bc: str) -> str:
+    """The boundary condition lower-cased; raises ValueError if unknown."""
+    bc = bc.lower()
+    if bc not in ("simple", "dirichlet"):
+        raise ValueError(f"unknown boundary condition {bc!r}")
+    return bc
+
+
 def operator_from_two_beta(
     graph: WeightedGraph,
     two_beta: np.ndarray,
@@ -133,9 +141,7 @@ def operator_from_two_beta(
     two_beta = np.asarray(two_beta, dtype=float)
     if two_beta.shape != (graph.n_vertices,):
         raise ValueError("two_beta length mismatch")
-    bc = bc.lower()
-    if bc not in ("simple", "dirichlet"):
-        raise ValueError(f"unknown boundary condition {bc!r}")
+    bc = _checked_bc(bc)
     if w is None:
         w = graph.uniform_weight
     diag = two_beta.astype(float).copy()

@@ -7,8 +7,11 @@ by lowering beta at the center by 1/(2 g00).  The h-transform of the tilted
 Dirichlet operator on an inner sub-box is then the grounded Laplacian of an
 electrical network whose conductances are W h(i) h(j), so the tilted Dirichlet
 Green value at the center equals the network's effective resistance from the
-center to the boundary sink.  This module builds the surrogate, the tilt, the
-network, the two sides of that identity, and a Nash-Williams lower bound.
+center to the boundary sink.  The network is a :class:`WeightedGraph` on the
+sub-box whose ``eta`` holds the conductances to the grounded sink, and both
+sides of the identity are Green values solved by the same banded Cholesky.
+This module builds the surrogate, the tilt, the network, the two sides of
+that identity, and a Nash-Williams lower bound.
 """
 
 from __future__ import annotations
@@ -18,22 +21,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import BetaField, sample_beta_batch, slice_size
-from .graphs import WeightedGraph, build_box
+from .field import BetaField
+from .graphs import WeightedGraph, attach_delta, build_box, subbox_indices
 from .operators import (
     FactorizationError,
     green_column,
     operator_from_two_beta,
 )
-from .rng import philox_stream
 
 __all__ = [
     "GreenSurrogate",
-    "ConductanceNetwork",
     "IdentityReport",
     "NetworkError",
     "IdentityMismatchError",
-    "subbox_indices",
     "build_surrogate",
     "tilted_field",
     "harmonic_residual",
@@ -41,7 +41,6 @@ __all__ = [
     "effective_resistance",
     "nash_williams_bound",
     "identity_check",
-    "pinning_gamma_ks",
 ]
 
 IDENTITY_RTOL = 1e-8
@@ -74,25 +73,6 @@ class GreenSurrogate:
 
 
 @dataclass(frozen=True)
-class ConductanceNetwork:
-    """Finite network on inner vertices plus one grounded sink.
-
-    Attributes:
-        n_inner: number of inner vertices.
-        edges: (m, 2) inner-inner edges.
-        cond: (m,) positive conductances for those edges.
-        sink_cond: (n_inner,) conductance to the sink (0 = no sink edge).
-        source: inner index of the current source.
-    """
-
-    n_inner: int
-    edges: np.ndarray
-    cond: np.ndarray
-    sink_cond: np.ndarray
-    source: int
-
-
-@dataclass(frozen=True)
 class IdentityReport:
     """One sample's resistance-identity comparison.
 
@@ -107,20 +87,6 @@ class IdentityReport:
     rel_err: float
     harmonic_residual: float
     nash_williams: float
-
-
-def subbox_indices(g: WeightedGraph, half_side: int) -> np.ndarray:
-    """Indices of vertices with sup-norm coordinate <= half_side.
-
-    The result is in row-major order of the sub-box, i.e. it matches the
-    vertex order of ``build_box(g.d, half_side, ...)``.
-    """
-    if g.coords is None or g.half_side is None:
-        raise ValueError("sub-box extraction needs a centered box graph")
-    if not 0 <= half_side <= g.half_side:
-        raise ValueError("sub-box half_side out of range")
-    inside = np.all(np.abs(g.coords) <= half_side, axis=1)
-    return np.nonzero(inside)[0]
 
 
 def build_surrogate(f: BetaField) -> GreenSurrogate:
@@ -151,14 +117,15 @@ def harmonic_residual(f: BetaField, s: GreenSurrogate) -> float:
     return float(np.max(np.abs(m.matvec(s.h))))
 
 
-def build_network(s: GreenSurrogate, half_side: int, w: float | None = None) -> ConductanceNetwork:
+def build_network(s: GreenSurrogate, half_side: int, w: float | None = None) -> WeightedGraph:
     """Conductance network on the sub-box of the given half side.
 
-    Inner-inner lattice edges get c(i,j) = W h(i) h(j); a vertex with lattice
-    neighbors outside the sub-box gets a sink conductance
-    sum over those neighbors of W (h(i) h(j) + h(i)^2).  Requires
-    half_side < the surrogate box's half side so every such neighbor still
-    carries an h value.
+    The result has the vertex order, edges and lattice metadata of
+    ``build_box(d, half_side)``.  Its edge weights are the conductances
+    c(i,j) = W h(i) h(j), and its ``eta`` is each vertex's conductance to the
+    grounded sink: the sum over lattice neighbors j outside the sub-box of
+    W (h(i) h(j) + h(i)^2).  Requires half_side < the surrogate box's half
+    side so every such neighbor still carries an h value.
     """
     g = s.graph
     if g.half_side is None:
@@ -174,110 +141,73 @@ def build_network(s: GreenSurrogate, half_side: int, w: float | None = None) -> 
     pos = np.full(g.n_vertices, -1, dtype=np.int64)
     pos[inner] = np.arange(inner.shape[0])
     h = s.h
+    lo, hi = g.edges[:, 0], g.edges[:, 1]
+    lo_in, hi_in = pos[lo] >= 0, pos[hi] >= 0
 
-    both_in = (pos[g.edges[:, 0]] >= 0) & (pos[g.edges[:, 1]] >= 0)
-    ein = g.edges[both_in]
-    edges = np.column_stack([pos[ein[:, 0]], pos[ein[:, 1]]])
-    cond = w * h[ein[:, 0]] * h[ein[:, 1]]
+    both = lo_in & hi_in
+    edges = np.column_stack((pos[lo[both]], pos[hi[both]]))
+    cond = w * h[lo[both]] * h[hi[both]]
 
-    sink_cond = np.zeros(inner.shape[0])
-    indptr, nbrs, _wts = g.neighbor_lists
-    for k, i in enumerate(inner):
-        for j in nbrs[indptr[i] : indptr[i + 1]]:
-            if pos[j] < 0:
-                sink_cond[k] += w * (h[i] * h[j] + h[i] * h[i])
+    # g.edges is sorted, so each vertex meets its outside neighbors in index order
+    cross = lo_in != hi_in
+    i = np.where(lo_in, lo, hi)[cross]
+    j = np.where(lo_in, hi, lo)[cross]
+    eta = np.bincount(pos[i], weights=w * (h[i] * h[j] + h[i] * h[i]), minlength=inner.shape[0])
 
-    source = int(pos[s.center])
-    if source < 0:
-        raise ValueError("center vertex not inside the sub-box")
-    return ConductanceNetwork(
-        n_inner=int(inner.shape[0]),
+    return WeightedGraph(
+        n_vertices=inner.shape[0],
         edges=edges,
-        cond=cond,
-        sink_cond=sink_cond,
-        source=source,
+        weights=cond,
+        eta=eta,
+        d=g.d,
+        half_side=half_side,
+        shape=(2 * half_side + 1,) * g.d,
+        coords=g.coords[inner],
     )
 
 
-def _grounded_laplacian(net: ConductanceNetwork) -> np.ndarray:
-    lap = np.zeros((net.n_inner, net.n_inner))
-    i, j = net.edges[:, 0], net.edges[:, 1]
-    np.add.at(lap, (i, i), net.cond)
-    np.add.at(lap, (j, j), net.cond)
-    np.subtract.at(lap, (i, j), net.cond)
-    np.subtract.at(lap, (j, i), net.cond)
-    lap[np.diag_indices_from(lap)] += net.sink_cond
-    return lap
+def effective_resistance(net: WeightedGraph, source: int) -> float:
+    """Resistance from the source to the sink that ``net.eta`` conducts to.
 
-
-def effective_resistance(net: ConductanceNetwork) -> float:
-    """Resistance from the source to the sink.
-
-    Solves the Dirichlet problem (unit potential at the source, zero at the
-    sink) through the sink-grounded Laplacian and returns one over the
-    current leaving the source.
+    Equals the source's diagonal entry of the inverse grounded Laplacian
+    diag(degree_w + eta) - W, solved by banded Cholesky.
     """
-    from scipy.linalg import cho_factor, cho_solve
-
-    lap = _grounded_laplacian(net)
-    rhs = np.zeros(net.n_inner)
-    rhs[net.source] = 1.0
+    lap = operator_from_two_beta(net, net.degree_w + net.eta)
     try:
-        x = cho_solve(cho_factor(lap, lower=True), rhs)
-    except np.linalg.LinAlgError as exc:
+        return float(green_column(lap, source)[source])
+    except FactorizationError as exc:
         raise NetworkError("network is not connected to the sink") from exc
-    if not x[net.source] > 0:
-        raise NetworkError("no current path from source to sink")
-    v = x / x[net.source]
-    current = float(net.sink_cond[net.source])
-    for (a, b), c in zip(net.edges, net.cond):
-        if a == net.source:
-            current += c * (1.0 - v[b])
-        elif b == net.source:
-            current += c * (1.0 - v[a])
-    if not current > 0:
-        raise NetworkError("no current path from source to sink")
-    return 1.0 / current
 
 
-def nash_williams_bound(net: ConductanceNetwork) -> float:
+def nash_williams_bound(net: WeightedGraph, source: int) -> float:
     """Cutset lower bound on the effective resistance.
 
-    Uses breadth-first levels from the source: the edges joining level k-1
-    to level k form disjoint source/sink-separating cutsets, and the bound
-    is the sum over levels of the reciprocal cutset conductance.
+    Uses breadth-first levels from the source, with the sink as the ghost
+    vertex of ``attach_delta(net)``: the edges joining level k-1 to level k
+    form disjoint source/sink-separating cutsets, and the bound is the sum
+    over levels of the reciprocal cutset conductance.
     """
-    sink = net.n_inner
-    adj: list[list[int]] = [[] for _ in range(net.n_inner + 1)]
-    for a, b in net.edges:
-        adj[a].append(int(b))
-        adj[b].append(int(a))
-    for i, c in enumerate(net.sink_cond):
-        if c > 0:
-            adj[i].append(sink)
-            adj[sink].append(i)
-
-    level = np.full(net.n_inner + 1, -1, dtype=np.int64)
-    level[net.source] = 0
-    queue = deque([net.source])
+    if not np.any(net.eta > 0):
+        raise NetworkError("network is not connected to the sink")
+    aug = attach_delta(net)
+    indptr, nbrs, _wts = aug.neighbor_lists
+    level = np.full(aug.n_vertices, -1, dtype=np.int64)
+    level[source] = 0
+    queue = deque([source])
     while queue:
         u = queue.popleft()
-        for v in adj[u]:
+        for v in nbrs[indptr[u] : indptr[u + 1]].tolist():
             if level[v] < 0:
                 level[v] = level[u] + 1
                 queue.append(v)
-    if level[sink] < 0:
+    depth = int(level[aug.delta])
+    if depth < 0:
         raise NetworkError("network is not connected to the sink")
 
-    cut_cond = np.zeros(int(level[sink]))
-    for (a, b), c in zip(net.edges, net.cond):
-        la, lb = level[a], level[b]
-        k = max(la, lb)
-        if abs(la - lb) == 1 and k <= level[sink]:
-            cut_cond[k - 1] += c
-    for i, c in enumerate(net.sink_cond):
-        if c > 0 and level[i] == level[sink] - 1:
-            cut_cond[level[sink] - 1] += c
+    la, lb = level[aug.edges[:, 0]], level[aug.edges[:, 1]]
+    k = np.maximum(la, lb)
+    cut = (np.abs(la - lb) == 1) & (k <= depth)
+    cut_cond = np.bincount(k[cut] - 1, weights=aug.weights[cut], minlength=depth)
     return float(np.sum(1.0 / cut_cond))
 
 
@@ -302,7 +232,7 @@ def identity_check(
     harm = harmonic_residual(f, s)
 
     net = build_network(s, half_side, w=f.w)
-    rhs_val = effective_resistance(net)
+    rhs_val = effective_resistance(net, net.center_index)
 
     inner = subbox_indices(g, half_side)
     sub = build_box(g.d, half_side, w=f.w, boundary="zero")
@@ -316,7 +246,7 @@ def identity_check(
         rhs=rhs_val,
         rel_err=rel,
         harmonic_residual=harm,
-        nash_williams=nash_williams_bound(net),
+        nash_williams=nash_williams_bound(net, net.center_index),
     )
     if check and (rel > tol or harm > HARMONIC_TOL):
         raise IdentityMismatchError(
@@ -325,32 +255,3 @@ def identity_check(
         )
     return report
 
-
-def pinning_gamma_ks(
-    d: int,
-    w: float,
-    k_values: list[int],
-    n_samples: int,
-    seed: int,
-) -> list[dict]:
-    """KS distance of 1/(2 g00) against Gamma(1/2, 1) for growing boxes.
-
-    The center pinning rate converges in law to Gamma(1/2, 1) as the box
-    grows (below the critical coupling); this reports the trend without
-    asserting it.
-    """
-    from .stats import _gamma_ks, _pinning_rate  # stats imports this module
-
-    rows = []
-    for chain, k in enumerate(k_values):
-        g = build_box(d, k, w=w, boundary="wired")
-        betas = sample_beta_batch(g, n_samples, philox_stream(seed, chain))
-        size = slice_size(g)
-        vals = np.concatenate(
-            [
-                _pinning_rate(g, betas[i : i + size], g.center_index)
-                for i in range(0, n_samples, size)
-            ]
-        )
-        rows.append({"K": k, "ks_distance": _gamma_ks(vals), "n_samples": n_samples})
-    return rows

@@ -29,14 +29,14 @@ from numpy.lib.stride_tricks import as_strided
 from scipy.special import gammainc
 
 from .field import laplace_exact, sample_beta_batch, slice_size
-from .graphs import WeightedGraph, build_box, remove_vertex
+from .graphs import WeightedGraph, build_box, remove_vertex, subbox_indices
 from .operators import (
     FactorizationError,
+    _checked_bc,
     count_eigenvalues_many,
     operator_from_two_beta,
     sturm_counts_batch,
 )
-from .resistance import subbox_indices
 from .rig import rig_cdf, rig_mode
 from .rng import philox_stream
 
@@ -52,6 +52,7 @@ __all__ = [
     "decay_moment_fit",
     "localization_event_probabilities",
     "gamma_marginal_test",
+    "pinning_gamma_ks",
     "gamma_chain_check",
     "batch_means",
     "laplace_audit",
@@ -316,6 +317,7 @@ def estimate_ids(
     Fields are drawn from the wired-boundary measure (the marginal of the
     larger lattice); bc selects the operator's boundary condition only.
     """
+    bc = _checked_bc(bc)
     energies = np.sort(np.asarray(energies, dtype=float).reshape(-1))
     if energies.size == 0:
         raise ValueError("empty energy grid")
@@ -457,7 +459,7 @@ def wegner_audit(
         )
     return {
         "energy": energy,
-        "bc": bc,
+        "bc": curve.bc,
         "rows": rows,
         "all_passed": all(r["passed"] for r in rows),
     }
@@ -655,6 +657,34 @@ def gamma_marginal_test(g: WeightedGraph, cfg: MonteCarloConfig, vertex: int = 0
         "var_dev_se": abs(var - 0.5) / se_var if se_var > 0 else math.inf,
         "ks_distance": _gamma_ks(xs),
     }
+
+
+def pinning_gamma_ks(
+    d: int,
+    w: float,
+    k_values: list[int],
+    n_samples: int,
+    seed: int,
+) -> list[dict]:
+    """KS distance of 1/(2 g00) against Gamma(1/2, 1) for growing boxes.
+
+    The center pinning rate converges in law to Gamma(1/2, 1) as the box
+    grows (below the critical coupling); this reports the trend without
+    asserting it.
+    """
+    rows = []
+    for chain, k in enumerate(k_values):
+        g = build_box(d, k, w=w, boundary="wired")
+        betas = sample_beta_batch(g, n_samples, philox_stream(seed, chain))
+        size = slice_size(g)
+        vals = np.concatenate(
+            [
+                _pinning_rate(g, betas[i : i + size], g.center_index)
+                for i in range(0, n_samples, size)
+            ]
+        )
+        rows.append({"K": k, "ks_distance": _gamma_ks(vals), "n_samples": n_samples})
+    return rows
 
 
 def gamma_chain_check(g: WeightedGraph, chains) -> dict:

@@ -169,6 +169,15 @@ class TestSample:
         assert "must be" in capsys.readouterr().err
         assert not (tmp_path / "sample.csv").exists()
 
+    @pytest.mark.parametrize("sampler", ["exact", "gibbs"])
+    @pytest.mark.parametrize("flags", [("--samples", "0"), ("--samples", "-3"), ("--chains", "0")])
+    def test_sample_and_chain_counts_validated(self, tmp_path, capsys, sampler, flags):
+        code = run(tmp_path, "sample", "--d", "1", "--L", "1", "--W", "1",
+                   "--sampler", sampler, *flags)
+        assert code == 1
+        assert "must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "sample.csv").exists()
+
     def test_row_cap_refused_before_sampling(self, tmp_path, capsys):
         code = run(tmp_path, "sample", "--d", "2", "--L", "40", "--W", "1.0",
                    "--samples", "1000")
@@ -304,6 +313,15 @@ class TestValidate:
         names = [c["check"] for c in load_summary(tmp_path, "validate")["results"]["checks"]]
         assert "graph_roundtrip_stable" in names
         assert "graph_laplace_dev_se" in names
+
+    @pytest.mark.parametrize("rig_samples", ["0", "1", "-5"])
+    def test_rig_samples_below_two_is_config_error(self, tmp_path, capsys, rig_samples):
+        # the RIG checks divide by a sample standard deviation
+        code = run(tmp_path, "validate", "--samples", "2000", "--rig-samples", rig_samples,
+                   "--identity-samples", "2")
+        assert code == 1
+        assert "--rig-samples" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_missing_graph_file(self, tmp_path, capsys):
         code = run(tmp_path, "validate", "--samples", "2000", "--rig-samples", "20000",

@@ -1,7 +1,10 @@
 """Static checks on the package source that need no linter installed."""
 
 import ast
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "rsolab"
 
@@ -37,3 +40,28 @@ def test_no_unused_imports():
         if unused:
             found[path.name] = unused
     assert found == {}
+
+
+
+def _relative_imports(tree: ast.Module) -> set[str]:
+    """Sibling modules named by relative imports anywhere in the module."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                found |= {alias.name for alias in node.names}
+            else:
+                found.add(node.module.split(".")[0])
+    return found
+
+
+def test_package_imports_are_acyclic():
+    # function-local imports count too: they only defer the cycle to call time
+    deps = {
+        path.stem: _relative_imports(ast.parse(path.read_text(), filename=str(path)))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    try:
+        TopologicalSorter(deps).prepare()
+    except CycleError as exc:
+        pytest.fail("import cycle: " + " -> ".join(exc.args[1]))

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from rsolab.field import BetaField, exact_field
-from rsolab.graphs import build_box, build_grid
+from rsolab.graphs import WeightedGraph, build_box, build_grid, subbox_indices
+from rsolab.operators import operator_from_two_beta
 from rsolab.resistance import (
     HARMONIC_TOL,
     IDENTITY_RTOL,
-    ConductanceNetwork,
     IdentityMismatchError,
     NetworkError,
     build_network,
@@ -24,42 +24,41 @@ from rsolab.resistance import (
     harmonic_residual,
     identity_check,
     nash_williams_bound,
-    pinning_gamma_ks,
-    subbox_indices,
     tilted_field,
 )
 from rsolab.rng import philox_stream
+from rsolab.stats import pinning_gamma_ks
 
 NO_EDGES = np.empty((0, 2), dtype=np.int64)
 NO_COND = np.empty(0)
 
 
-def single_edge_net(c: float) -> ConductanceNetwork:
-    return ConductanceNetwork(1, NO_EDGES, NO_COND, np.array([c]), 0)
+def single_edge_net(c: float) -> WeightedGraph:
+    return WeightedGraph(1, NO_EDGES, NO_COND, np.array([c]))
 
 
 class TestHandNetworks:
     def test_single_edge(self):
         net = single_edge_net(4.0)
-        assert abs(effective_resistance(net) - 0.25) < 1e-14
-        assert abs(nash_williams_bound(net) - 0.25) < 1e-14
+        assert abs(effective_resistance(net, 0) - 0.25) < 1e-14
+        assert abs(nash_williams_bound(net, 0) - 0.25) < 1e-14
 
     def test_series(self):
         c1, c2 = 2.0, 5.0
-        net = ConductanceNetwork(2, np.array([[0, 1]]), np.array([c1]), np.array([0.0, c2]), 0)
+        net = WeightedGraph(2, np.array([[0, 1]]), np.array([c1]), np.array([0.0, c2]))
         want = 1.0 / c1 + 1.0 / c2
-        assert abs(effective_resistance(net) - want) < 1e-14
+        assert abs(effective_resistance(net, 0) - want) < 1e-14
         # a chain is a tree: the cutset bound is tight
-        assert abs(nash_williams_bound(net) - want) < 1e-14
+        assert abs(nash_williams_bound(net, 0) - want) < 1e-14
 
     def test_parallel(self):
         # source sinks directly (c0) and through a middle vertex (c1, c2)
         c0, c1, c2 = 1.0, 2.0, 3.0
-        net = ConductanceNetwork(2, np.array([[0, 1]]), np.array([c1]), np.array([c0, c2]), 0)
+        net = WeightedGraph(2, np.array([[0, 1]]), np.array([c1]), np.array([c0, c2]))
         want = 1.0 / (c0 + 1.0 / (1.0 / c1 + 1.0 / c2))
-        got = effective_resistance(net)
+        got = effective_resistance(net, 0)
         assert abs(got - want) < 1e-14
-        nw = nash_williams_bound(net)
+        nw = nash_williams_bound(net, 0)
         assert abs(nw - 1.0 / (c0 + c1)) < 1e-14
         assert nw <= got + 1e-14
 
@@ -69,7 +68,7 @@ class TestHandNetworks:
         edges = np.array([[0, 1], [0, 2], [1, 2]])
         cond = np.array([1.0, 2.0, 4.0])
         sink = np.array([0.0, 3.0, 5.0])
-        net = ConductanceNetwork(3, edges, cond, sink, 0)
+        net = WeightedGraph(3, edges, cond, sink)
         lap = np.array(
             [
                 [3.0, -1.0, -2.0],
@@ -80,15 +79,15 @@ class TestHandNetworks:
         v = np.linalg.solve(lap, np.array([1.0, 0.0, 0.0]))
         v = v / v[0]
         current = 1.0 * (1 - v[1]) + 2.0 * (1 - v[2])
-        assert abs(effective_resistance(net) - 1.0 / current) < 1e-13
-        assert nash_williams_bound(net) <= effective_resistance(net) + 1e-14
+        assert abs(effective_resistance(net, 0) - 1.0 / current) < 1e-13
+        assert nash_williams_bound(net, 0) <= effective_resistance(net, 0) + 1e-14
 
     def test_disconnected_raises(self):
-        net = ConductanceNetwork(1, NO_EDGES, NO_COND, np.array([0.0]), 0)
+        net = WeightedGraph(1, NO_EDGES, NO_COND, np.array([0.0]))
         with pytest.raises(NetworkError):
-            effective_resistance(net)
+            effective_resistance(net, 0)
         with pytest.raises(NetworkError):
-            nash_williams_bound(net)
+            nash_williams_bound(net, 0)
 
 
 class TestSubboxIndices:
@@ -152,13 +151,17 @@ class TestBuildNetwork:
         g = build_box(2, 3, w=1.0, boundary="wired")
         s = build_surrogate(exact_field(g, philox_stream(5)))
         net = build_network(s, 1)
-        assert net.n_inner == 9
-        assert net.source == 4  # center of the 3x3 sub-box in row-major order
+        assert net.n_vertices == 9
+        assert net.center_index == 4  # center of the 3x3 sub-box in row-major order
         assert net.edges.shape == (12, 2)
-        assert np.all(net.cond > 0)
-        assert np.all(net.sink_cond >= 0)
-        assert np.all(net.sink_cond[[0, 2, 6, 8]] > 0)  # sub-box corners
-        assert net.sink_cond[4] == 0.0  # interior vertex keeps no sink edge
+        assert np.all(net.weights > 0)
+        assert np.all(net.eta >= 0)
+        assert np.all(net.eta[[0, 2, 6, 8]] > 0)  # sub-box corners
+        assert net.eta[4] == 0.0  # interior vertex keeps no sink edge
+        sub = build_box(2, 1, w=1.0)
+        assert (net.d, net.half_side, net.shape) == (sub.d, sub.half_side, sub.shape)
+        assert np.array_equal(net.coords, sub.coords)
+        assert np.array_equal(net.edges, sub.edges)
 
     def test_requires_room_around_subbox(self):
         g = build_box(2, 2, w=1.0, boundary="wired")
@@ -166,11 +169,31 @@ class TestBuildNetwork:
         with pytest.raises(ValueError):
             build_network(s, 2)
 
+    @pytest.mark.parametrize(
+        "d,big,small,w,seed", [(1, 12, 4, 1.0, 30), (2, 5, 2, 0.7, 31), (3, 3, 1, 1.3, 32)]
+    )
+    def test_grounded_laplacian_is_h_transform(self, d, big, small, w, seed):
+        # diag(degree_w + eta) - W equals diag(h) M_D diag(h) entrywise, with
+        # M_D the tilted Dirichlet operator on the sub-box
+        g = build_box(d, big, w=w, boundary="wired")
+        f = exact_field(g, philox_stream(seed))
+        s = build_surrogate(f)
+        net = build_network(s, small)
+        lap = operator_from_two_beta(net, net.degree_w + net.eta).to_dense()
+        inner = subbox_indices(g, small)
+        sub = build_box(d, small, w=w, boundary="zero")
+        two_beta = 2.0 * tilted_field(f, s)[inner]
+        m_d = operator_from_two_beta(sub, two_beta, bc="dirichlet", w=w).to_dense()
+        h = s.h[inner]
+        want = h[:, None] * m_d * h[None, :]
+        assert np.max(np.abs(lap - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_rayleigh_shorting_monotonicity(self):
         # growing the sub-box un-shorts boundary vertices, raising resistance
         g = build_box(2, 4, w=1.0, boundary="wired")
         s = build_surrogate(exact_field(g, philox_stream(7)))
-        r = [effective_resistance(build_network(s, k)) for k in (1, 2, 3)]
+        nets = [build_network(s, k) for k in (1, 2, 3)]
+        r = [effective_resistance(net, net.center_index) for net in nets]
         assert r[0] <= r[1] <= r[2]
 
 
@@ -198,8 +221,6 @@ class TestIdentity:
 
     def test_needs_box_metadata(self):
         # a hand path without lattice metadata cannot run the check
-        from rsolab.graphs import WeightedGraph
-
         g = WeightedGraph(2, np.array([[0, 1]]), np.array([1.0]), np.array([1.0, 1.0]))
         f = BetaField(graph=g, beta=np.ones(2))
         with pytest.raises(ValueError):
@@ -210,7 +231,8 @@ class TestIdentity:
         for seed in range(4):
             s = build_surrogate(exact_field(g, philox_stream(20 + seed)))
             net = build_network(s, 1)
-            assert nash_williams_bound(net) <= effective_resistance(net) * (1 + 1e-12)
+            src = net.center_index
+            assert nash_williams_bound(net, src) <= effective_resistance(net, src) * (1 + 1e-12)
 
 
 class TestPinningTrend:

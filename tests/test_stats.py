@@ -188,6 +188,17 @@ class TestEstimateIds:
         with pytest.raises(ValueError):
             estimate_ids(1, 2, 1.0, "simple", [], MonteCarloConfig(n_samples=10))
 
+    @pytest.mark.parametrize("d,half", [(1, 4), (2, 1)])  # Sturm path, sparse-inertia box
+    def test_bc_is_checked_on_both_counters(self, d, half):
+        energies = [0.5, 2.0]
+        cfg = MonteCarloConfig(n_samples=20, seed=3)
+        curve = estimate_ids(d, half, 1.0, "Dirichlet", energies, cfg)
+        assert curve.bc == "dirichlet"
+        want = estimate_ids(d, half, 1.0, "dirichlet", energies, cfg)
+        assert np.array_equal(curve.values(), want.values())
+        with pytest.raises(ValueError, match="boundary condition"):
+            estimate_ids(d, half, 1.0, "dirichet", energies, cfg)
+
 
 class TestSlopeFit:
     def test_exact_power_law(self):
