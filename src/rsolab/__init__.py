@@ -87,13 +87,10 @@ from .stats import (
     fit_loglog_slope,
     gamma_marginal_test,
     laplace_audit,
-    levy_concentration,
     localization_event_probabilities,
     martingale_check,
     monotonicity_check,
-    pinning_gamma_ks,
     wegner_audit,
-    ward_moment_check,
 )
 
 __all__ = [
@@ -177,10 +174,7 @@ __all__ = [
     "decay_moment_fit",
     "localization_event_probabilities",
     "gamma_marginal_test",
-    "pinning_gamma_ks",
     "laplace_audit",
-    "ward_moment_check",
     "martingale_check",
     "monotonicity_check",
-    "levy_concentration",
 ]

@@ -8,7 +8,7 @@ wegner        spectral-increment audit against the square-root bound
 decay         log-linear fit of Green-moment decay along a lattice axis
 critical      closed-form critical couplings and the branching-factor scan
 resistance    per-sample Green / effective-resistance identity check
-martingale    boundary-mass martingale means and compensator flatness
+martingale    boundary-mass martingale means, compensator flatness, Ward moments
 monotonicity  coupling monotonicity of the Green ratio on a small path
 validate      oracle suite: Laplace, Gamma marginal, RIG, resistance identity
 
@@ -586,6 +586,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         [(c["check"], c["value"], c["threshold"], c["passed"]) for c in checks],
     )
     passed = all(c["passed"] for c in checks)
+    # a check with no noise (a zero SE) reads inf; JSON has no infinity
+    for c in checks:
+        if math.isinf(c["value"]):
+            c["value"] = optional_infinite(None)
     results = {"checks": checks, "csv": csv_path.name}
     return _finish(args, "validate", results, passed, {"master": seed})
 

@@ -83,9 +83,6 @@ class OperatorMatrix:
     graph: WeightedGraph
     diag: np.ndarray
     offdiag: np.ndarray
-    bc: str
-    scaled: bool
-    w: float | None
 
     def __post_init__(self):
         diag = np.ascontiguousarray(np.asarray(self.diag, dtype=np.float64))
@@ -157,7 +154,7 @@ def operator_from_two_beta(
             raise ValueError("scaled form needs a uniform edge weight")
         diag /= w
         offdiag = offdiag / w
-    return OperatorMatrix(graph=graph, diag=diag, offdiag=offdiag, bc=bc, scaled=scaled, w=w)
+    return OperatorMatrix(graph=graph, diag=diag, offdiag=offdiag)
 
 
 def assemble(f: BetaField, bc: str = "simple", scaled: bool = False) -> OperatorMatrix:

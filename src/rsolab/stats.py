@@ -37,7 +37,6 @@ from .operators import (
     operator_from_two_beta,
     sturm_counts_batch,
 )
-from .rig import rig_cdf, rig_mode
 from .rng import philox_stream
 
 __all__ = [
@@ -52,14 +51,11 @@ __all__ = [
     "decay_moment_fit",
     "localization_event_probabilities",
     "gamma_marginal_test",
-    "pinning_gamma_ks",
     "gamma_chain_check",
     "batch_means",
     "laplace_audit",
-    "ward_moment_check",
     "martingale_check",
     "monotonicity_check",
-    "levy_concentration",
 ]
 
 #: Uniform statistical slack used by every audit.
@@ -351,6 +347,15 @@ def estimate_ids(
     )
 
 
+def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """Least-squares line y = slope x + intercept, and its R^2 (1 for a flat y)."""
+    a = np.column_stack([x, np.ones_like(x)])
+    coef, *_ = np.linalg.lstsq(a, y, rcond=None)
+    ss_res = float(np.sum((y - a @ coef) ** 2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    return float(coef[0]), float(coef[1]), 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+
+
 def fit_loglog_slope(curve: IdsCurve, e_min: float | None = None, e_max: float | None = None) -> dict:
     """Least-squares slope of log(estimate) against log(energy)."""
     v = curve.values()
@@ -361,17 +366,10 @@ def fit_loglog_slope(curve: IdsCurve, e_min: float | None = None, e_max: float |
         keep &= curve.energies <= e_max
     if keep.sum() < 2:
         raise ValueError("need at least two positive points to fit a slope")
-    x = np.log(curve.energies[keep])
-    y = np.log(v[keep])
-    a = np.column_stack([x, np.ones_like(x)])
-    coef, *_ = np.linalg.lstsq(a, y, rcond=None)
-    pred = a @ coef
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    slope, intercept, r2 = _line_fit(np.log(curve.energies[keep]), np.log(v[keep]))
     return {
-        "slope": float(coef[0]),
-        "intercept": float(coef[1]),
+        "slope": slope,
+        "intercept": intercept,
         "r_squared": r2,
         "n_points": int(keep.sum()),
     }
@@ -505,18 +503,13 @@ def decay_moment_fit(
     mean, se, _ = _run_chains(g, cfg, eval_slice, k)
     dists = np.arange(0, half_side + 1, dtype=np.int64)
     logm = np.log(mean)
-    a = np.column_stack([dists.astype(float), np.ones(k)])
-    coef, *_ = np.linalg.lstsq(a, logm, rcond=None)
-    pred = a @ coef
-    ss_res = float(np.sum((logm - pred) ** 2))
-    ss_tot = float(np.sum((logm - logm.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    slope, intercept, r2 = _line_fit(dists.astype(float), logm)
     return DecayFit(
         distances=dists,
         log_moments=logm,
         log_moment_std_errors=se / mean,
-        decay_rate=float(-coef[0]),
-        prefactor=float(np.exp(coef[1])),
+        decay_rate=-slope,
+        prefactor=float(np.exp(intercept)),
         r_squared=r2,
     )
 
@@ -659,34 +652,6 @@ def gamma_marginal_test(g: WeightedGraph, cfg: MonteCarloConfig, vertex: int = 0
     }
 
 
-def pinning_gamma_ks(
-    d: int,
-    w: float,
-    k_values: list[int],
-    n_samples: int,
-    seed: int,
-) -> list[dict]:
-    """KS distance of 1/(2 g00) against Gamma(1/2, 1) for growing boxes.
-
-    The center pinning rate converges in law to Gamma(1/2, 1) as the box
-    grows (below the critical coupling); this reports the trend without
-    asserting it.
-    """
-    rows = []
-    for chain, k in enumerate(k_values):
-        g = build_box(d, k, w=w, boundary="wired")
-        betas = sample_beta_batch(g, n_samples, philox_stream(seed, chain))
-        size = slice_size(g)
-        vals = np.concatenate(
-            [
-                _pinning_rate(g, betas[i : i + size], g.center_index)
-                for i in range(0, n_samples, size)
-            ]
-        )
-        rows.append({"K": k, "ks_distance": _gamma_ks(vals), "n_samples": n_samples})
-    return rows
-
-
 def gamma_chain_check(g: WeightedGraph, chains) -> dict:
     """The Gamma(1/2, 1) law of 1/(2 M^{-1}(0,0)) on correlated chains of fields.
 
@@ -731,47 +696,6 @@ def laplace_audit(g: WeightedGraph, lam_vectors, cfg: MonteCarloConfig) -> dict:
     return {"rows": rows, "all_passed": all(r["passed"] for r in rows)}
 
 
-def ward_moment_check(
-    d: int,
-    half_side: int,
-    w: float,
-    cfg: MonteCarloConfig,
-) -> dict:
-    """Report the hyperbolic-moment bounds of the log field.
-
-    With u the log of the normalized boundary solve, reports
-    E[cosh(u_j - u_k)^2] against 2 for a center edge and E[cosh(u_k)^2]
-    against 8; both bounds hold for large coupling, so the flags are
-    informational, never asserted at small W.
-    """
-    if d < 3:
-        raise ValueError("the hyperbolic-moment bounds are stated for d >= 3")
-    g = build_box(d, half_side, w=w, boundary="wired")
-    center = g.center_index
-    other = g.vertex_at([1] + [0] * (d - 1))
-
-    def eval_slice(betas: np.ndarray) -> np.ndarray:
-        lin = _green_solve(g, 2.0 * betas, g.eta[:, None])[:, :, 0]
-        if not np.all(lin > 0):
-            raise FactorizationError("boundary solve lost positivity in a slice")
-        u = np.log(lin)
-        pair = np.cosh(u[:, center] - u[:, other]) ** 2
-        single = np.cosh(u[:, center]) ** 2
-        return np.column_stack([pair, single])
-
-    mean, se, n_tot = _run_chains(g, cfg, eval_slice, 2)
-    pair_est = EstimateWithCI(float(mean[0]), float(se[0]), n_tot, cfg.seed)
-    single_est = EstimateWithCI(float(mean[1]), float(se[1]), n_tot, cfg.seed)
-    return {
-        "pair_moment": pair_est,
-        "pair_bound": 2.0,
-        "pair_within": bool(pair_est.value <= 2.0 + SE_SLACK * pair_est.std_error),
-        "single_moment": single_est,
-        "single_bound": 8.0,
-        "single_within": bool(single_est.value <= 8.0 + SE_SLACK * single_est.std_error),
-    }
-
-
 # ---------------------------------------------------------------------------
 # Nested-box martingale
 # ---------------------------------------------------------------------------
@@ -790,6 +714,14 @@ def martingale_check(
     from the restriction of the outer wired sample.  E[psi] must be 1, and
     E[psi^2] - E[M_inner^{-1}(center, center)] (the compensator) must not
     depend on the inner size; differences are checked with paired errors.
+
+    The same solve gives the sigma-model field u = log M_inner^{-1} eta, so
+    u(center) = log psi.  Each row also reports the Ward moments
+    ward_pair = E[cosh^2(u(center) - u(e))], with e the center's neighbour
+    along the first axis, and ward_single = E[cosh^2 u(center)]; at strong
+    coupling in d >= 3 they are bounded by 2 and 8.  Both are informational
+    and never asserted; a box of half side 0 has no edge, so its ward_pair
+    is None.
     """
     inner = sorted(int(x) for x in inner_half_sides)
     if not inner or inner[-1] >= outer_half_side:
@@ -801,7 +733,8 @@ def martingale_check(
         idx = subbox_indices(g, l_half)
         sub = build_box(d, l_half, w=w, boundary="wired")
         rhs = np.column_stack([sub.eta, _unit_columns(sub.n_vertices, sub.center_index)])
-        subs.append((idx, sub, rhs))
+        edge_end = sub.vertex_at([1] + [0] * (d - 1)) if l_half > 0 else None
+        subs.append((idx, sub, rhs, edge_end))
 
     k = len(inner)
     n_pairs = k * (k - 1) // 2
@@ -810,24 +743,33 @@ def martingale_check(
         b = betas.shape[0]
         psi = np.empty((b, k))
         bracket = np.empty((b, k))
-        for t, (idx, sub, rhs) in enumerate(subs):
+        ward_pair = np.full((b, k), np.nan)
+        for t, (idx, sub, rhs, edge_end) in enumerate(subs):
             sol = _green_solve(sub, 2.0 * betas[:, idx], rhs)
             psi_t = sol[:, sub.center_index, 0]
             g00_t = sol[:, sub.center_index, 1]
             psi[:, t] = psi_t
             bracket[:, t] = psi_t * psi_t - g00_t
+            if edge_end is not None:
+                ward_pair[:, t] = np.cosh(np.log(psi_t) - np.log(sol[:, edge_end, 0])) ** 2
         diffs = np.empty((b, n_pairs))
         p = 0
         for i in range(k):
             for j in range(i + 1, k):
                 diffs[:, p] = bracket[:, i] - bracket[:, j]
                 p += 1
-        return np.concatenate([psi, bracket, diffs], axis=1)
+        ward_single = np.cosh(np.log(psi)) ** 2
+        return np.concatenate([psi, bracket, diffs, ward_pair, ward_single], axis=1)
 
-    mean, se, n_tot = _run_chains(g, cfg, eval_slice, 2 * k + n_pairs)
+    mean, se, n_tot = _run_chains(g, cfg, eval_slice, 4 * k + n_pairs)
+
+    def estimate(i: int) -> EstimateWithCI:
+        return EstimateWithCI(float(mean[i]), float(se[i]), n_tot, cfg.seed)
+
+    ward = 2 * k + n_pairs
     rows = []
     for t, l_half in enumerate(inner):
-        psi_est = EstimateWithCI(float(mean[t]), float(se[t]), n_tot, cfg.seed)
+        psi_est = estimate(t)
         rows.append(
             {
                 "half_side": l_half,
@@ -835,7 +777,9 @@ def martingale_check(
                 "mean_dev_se": abs(psi_est.value - 1.0) / psi_est.std_error
                 if psi_est.std_error > 0
                 else math.inf,
-                "bracket": EstimateWithCI(float(mean[k + t]), float(se[k + t]), n_tot, cfg.seed),
+                "bracket": estimate(k + t),
+                "ward_pair": estimate(ward + t) if l_half > 0 else None,
+                "ward_single": estimate(ward + k + t),
             }
         )
     pairs = []
@@ -919,36 +863,3 @@ def monotonicity_check(
         )
         report["quad_ordering_ok"] = bool(report["quad_gap"] >= -quadrature_tol)
     return report
-
-
-# ---------------------------------------------------------------------------
-# Levy concentration of the one-site law
-# ---------------------------------------------------------------------------
-
-
-def levy_concentration(a: float, epsilon: float) -> float:
-    """sup over x of the rho_a mass of the window [x, x + epsilon).
-
-    The density is unimodal, so the optimal window covers the mode; the sup
-    is found by bounded scalar maximization of the CDF increment over window
-    starts in [max(0, mode - epsilon), mode].
-    """
-    if a < 0:
-        raise ValueError("a must be nonnegative")
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    from scipy.optimize import minimize_scalar
-
-    mode = rig_mode(a)
-    lo = max(0.0, mode - epsilon)
-    hi = mode
-    if hi <= lo:
-        return float(rig_cdf(a, lo + epsilon) - rig_cdf(a, lo))
-
-    def neg_mass(x: float) -> float:
-        return -(rig_cdf(a, x + epsilon) - rig_cdf(a, x))
-
-    res = minimize_scalar(neg_mass, bounds=(lo, hi), method="bounded", options={"xatol": 1e-12})
-    best = -res.fun
-    edge = max(-neg_mass(lo), -neg_mass(hi))
-    return float(max(best, edge))

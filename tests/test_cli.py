@@ -245,6 +245,21 @@ class TestStochasticCommands:
         assert lines[0] == ("half_side,psi_mean,psi_std_error,psi_dev_se,"
                             "bracket_mean,bracket_std_error")
 
+    def test_martingale_ward_moments_in_summary(self, tmp_path, capsys):
+        code = run(tmp_path, "martingale", "--d", "3", "--K", "2", "--inner", "0,1",
+                   "--W", "1.0", "--samples", "200", "--seed", "2")
+        assert code == 0
+        capsys.readouterr()
+        lines = (tmp_path / "martingale.csv").read_text().splitlines()
+        assert lines[0] == ("half_side,psi_mean,psi_std_error,psi_dev_se,"
+                            "bracket_mean,bracket_std_error")
+        rows = load_summary(tmp_path, "martingale")["results"]["rows"]
+        assert [r["half_side"] for r in rows] == [0, 1]
+        # a one-vertex box has no edge for the pair moment
+        assert rows[0]["ward_pair"] is None
+        assert rows[1]["ward_pair"]["value"] >= 1.0
+        assert all(r["ward_single"]["value"] >= 1.0 for r in rows)
+
     def test_monotonicity_quick_run(self, tmp_path, capsys):
         code = run(tmp_path, "monotonicity", "--samples", "3000", "--seed", "10")
         assert code == 0
@@ -323,6 +338,18 @@ class TestValidate:
         assert "--rig-samples" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_noiseless_check_is_audit_failure_with_summary(self, tmp_path, capsys):
+        # two samples give a zero variance SE, so gamma_var_dev_se is infinite
+        code = run(tmp_path, "validate", "--samples", "2", "--rig-samples", "1000",
+                   "--identity-samples", "1")
+        assert code == 3
+        capsys.readouterr()
+        checks = load_summary(tmp_path, "validate")["results"]["checks"]
+        var_dev = next(c for c in checks if c["check"] == "gamma_var_dev_se")
+        assert var_dev["value"] == {"value": None, "infinite": True}
+        assert not var_dev["passed"]
+        assert "gamma_var_dev_se,inf,4,0" in (tmp_path / "validate.csv").read_text()
+
     def test_missing_graph_file(self, tmp_path, capsys):
         code = run(tmp_path, "validate", "--samples", "2000", "--rig-samples", "20000",
                    "--graph", str(tmp_path / "nope.graph"))
@@ -382,10 +409,9 @@ def test_module_main_matches_script():
 
 
 def test_import_leaves_scipy_stats_and_optimize_unloaded():
-    # only validate, the pinning KS report, the Gamma-marginal audit and the
-    # Levy concentration use scipy.stats and scipy.optimize, and only counts
-    # on non-path graphs use scipy.sparse.linalg, so they load inside those
-    # functions
+    # only validate and the Gamma-marginal audits use scipy.stats, and only
+    # counts on non-path graphs use scipy.sparse.linalg, so they load inside
+    # those functions; nothing in the package uses scipy.optimize
     probe = (
         "import sys, rsolab.cli; print([m for m in sys.modules "
         "if m.startswith(('scipy.stats', 'scipy.optimize', 'scipy.sparse.linalg'))])"

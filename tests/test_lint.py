@@ -1,6 +1,7 @@
 """Static checks on the package source that need no linter installed."""
 
 import ast
+import importlib
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
@@ -41,6 +42,18 @@ def test_no_unused_imports():
             found[path.name] = unused
     assert found == {}
 
+
+def test_exported_names_resolve():
+    # a name left in __all__ after its definition is deleted breaks
+    # `from rsolab import *` and misleads readers of the public API
+    missing = {}
+    for path in sorted(SRC.glob("*.py")):
+        name = "rsolab" if path.stem == "__init__" else f"rsolab.{path.stem}"
+        module = importlib.import_module(name)
+        unresolved = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        if unresolved:
+            missing[name] = unresolved
+    assert missing == {}
 
 
 def _relative_imports(tree: ast.Module) -> set[str]:

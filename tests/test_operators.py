@@ -422,9 +422,9 @@ class TestOperatorMatrixValidation:
     def test_shape_mismatches(self):
         g = build_grid((3,), 1.0)
         with pytest.raises(ValueError):
-            OperatorMatrix(g, np.ones(2), -g.weights, "simple", False, 1.0)
+            OperatorMatrix(g, np.ones(2), -g.weights)
         with pytest.raises(ValueError):
-            OperatorMatrix(g, np.ones(3), -np.ones(3), "simple", False, 1.0)
+            OperatorMatrix(g, np.ones(3), -np.ones(3))
 
 
 @given(

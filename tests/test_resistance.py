@@ -27,7 +27,6 @@ from rsolab.resistance import (
     tilted_field,
 )
 from rsolab.rng import philox_stream
-from rsolab.stats import pinning_gamma_ks
 
 NO_EDGES = np.empty((0, 2), dtype=np.int64)
 NO_COND = np.empty(0)
@@ -233,17 +232,3 @@ class TestIdentity:
             net = build_network(s, 1)
             src = net.center_index
             assert nash_williams_bound(net, src) <= effective_resistance(net, src) * (1 + 1e-12)
-
-
-class TestPinningTrend:
-    def test_rows_and_determinism(self):
-        rows = pinning_gamma_ks(1, 0.5, [2, 5], n_samples=400, seed=9)
-        assert [r["K"] for r in rows] == [2, 5]
-        assert all(r["n_samples"] == 400 for r in rows)
-        assert all(0.0 <= r["ks_distance"] <= 1.0 for r in rows)
-        again = pinning_gamma_ks(1, 0.5, [2, 5], n_samples=400, seed=9)
-        assert rows == again
-
-    def test_distance_shrinks_with_box_size(self):
-        rows = pinning_gamma_ks(1, 0.5, [1, 6], n_samples=600, seed=10)
-        assert rows[1]["ks_distance"] < rows[0]["ks_distance"]

@@ -16,9 +16,8 @@ from scipy.special import gammainc
 
 from rsolab import stats
 from rsolab.field import _pivots_to_field, sample_beta_batch, slice_size
-from rsolab.graphs import build_box, build_grid, remove_vertex
+from rsolab.graphs import build_box, build_grid, remove_vertex, subbox_indices
 from rsolab.operators import FactorizationError, operator_from_two_beta
-from rsolab.rig import rig_cdf
 from rsolab.rng import philox_stream
 from rsolab.stats import (
     SE_SLACK,
@@ -37,11 +36,9 @@ from rsolab.stats import (
     fit_loglog_slope,
     gamma_marginal_test,
     laplace_audit,
-    levy_concentration,
     localization_event_probabilities,
     martingale_check,
     monotonicity_check,
-    ward_moment_check,
     wegner_audit,
 )
 
@@ -542,19 +539,6 @@ class TestLaplaceAudit:
             laplace_audit(g, [[0.1, 0.2, 0.3]], MonteCarloConfig(n_samples=10))
 
 
-class TestWardMoments:
-    def test_strong_coupling_run(self):
-        rep = ward_moment_check(3, 1, 20.0, MonteCarloConfig(n_samples=300, seed=37))
-        assert rep["pair_bound"] == 2.0 and rep["single_bound"] == 8.0
-        assert rep["pair_moment"].value >= 1.0  # cosh^2 >= 1 pointwise
-        assert rep["single_moment"].value >= 1.0
-        assert rep["pair_within"] and rep["single_within"]
-
-    def test_needs_three_dimensions(self):
-        with pytest.raises(ValueError):
-            ward_moment_check(2, 1, 20.0, MonteCarloConfig(n_samples=10))
-
-
 class TestMartingale:
     def test_nested_boxes_one_dimension(self):
         cfg = MonteCarloConfig(n_samples=2000, seed=41)
@@ -566,6 +550,38 @@ class TestMartingale:
     def test_inner_must_be_smaller(self):
         with pytest.raises(ValueError):
             martingale_check(1, 3, [3], 1.0, MonteCarloConfig(n_samples=10))
+
+    def test_ward_moments_strong_coupling(self):
+        # Disertori-Spencer-Zirnbauer: at strong coupling in d = 3 the pair
+        # moment is at most 2 and the single-site moment at most 8
+        rep = martingale_check(3, 2, [1], 20.0, MonteCarloConfig(n_samples=300, seed=37))
+        pair, single = rep["rows"][0]["ward_pair"], rep["rows"][0]["ward_single"]
+        assert 1.0 <= pair.value <= 2.0 + SE_SLACK * pair.std_error  # cosh^2 >= 1 pointwise
+        assert 1.0 <= single.value <= 8.0 + SE_SLACK * single.std_error
+
+    def test_ward_columns_match_dense_solve(self, monkeypatch):
+        d, outer, inner, w = 2, 3, [0, 1, 2], 0.8
+        seen = _spy_eval_slices(monkeypatch, "_run_chains")
+        martingale_check(d, outer, inner, w, MonteCarloConfig(n_samples=150, seed=19))
+        g = build_box(d, outer, w=w, boundary="wired")
+        k = len(inner)
+        ward = 2 * k + k * (k - 1) // 2
+        for betas, out in seen:
+            assert out.shape == (betas.shape[0], ward + 2 * k)
+            for t, l_half in enumerate(inner):
+                sub = build_box(d, l_half, w=w, boundary="wired")
+                mats = _dense_stack(sub, betas[:, subbox_indices(g, l_half)])
+                rhs = np.broadcast_to(sub.eta[:, None], (betas.shape[0], sub.n_vertices, 1))
+                u = np.log(np.linalg.solve(mats, rhs)[:, :, 0])
+                c = sub.center_index
+                np.testing.assert_allclose(out[:, ward + k + t], np.cosh(u[:, c]) ** 2, rtol=1e-12)
+                if l_half == 0:
+                    assert np.all(np.isnan(out[:, ward + t]))
+                    continue
+                e = sub.vertex_at([1] + [0] * (d - 1))
+                np.testing.assert_allclose(
+                    out[:, ward + t], np.cosh(u[:, c] - u[:, e]) ** 2, rtol=1e-12
+                )
 
 
 class TestMonotonicity:
@@ -587,29 +603,3 @@ class TestMonotonicity:
         g_other = build_grid((4,), 1.0, boundary="wired")
         with pytest.raises(ValueError):
             monotonicity_check(g_low, g_other, 0, 2, MonteCarloConfig(n_samples=10))
-
-
-class TestLevyConcentration:
-    def test_dominates_every_window(self):
-        for a in (0.0, 0.7, 3.0):
-            for eps in (0.05, 0.3):
-                bound = levy_concentration(a, eps)
-                for x in np.linspace(0.0, 8.0, 60):
-                    assert rig_cdf(a, x + eps) - rig_cdf(a, x) <= bound + 1e-10
-
-    def test_small_window_asymptotics_at_zero(self):
-        eps = 1e-4
-        assert abs(levy_concentration(0.0, eps) - math.sqrt(2 * eps / math.pi)) < 0.02 * math.sqrt(
-            2 * eps / math.pi
-        )
-
-    def test_decreasing_in_spread(self):
-        eps = 0.2
-        vals = [levy_concentration(a, eps) for a in (0.0, 1.0, 5.0)]
-        assert vals[0] > vals[1] > vals[2]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            levy_concentration(-1.0, 0.1)
-        with pytest.raises(ValueError):
-            levy_concentration(1.0, 0.0)
