@@ -14,7 +14,6 @@ from ._version import VERSION as __version__
 from .critical import (
     CriticalReport,
     branching_factor,
-    combined_critical_w,
     comparison_scan,
     critical_report,
     fractional_moment_critical_w,
@@ -52,9 +51,7 @@ from .operators import (
     beta_from_u,
     count_eigenvalues_leq,
     count_eigenvalues_many,
-    finite_volume_ids,
     green_column,
-    green_matrix,
     operator_from_two_beta,
     path_sum_green,
     resolvent_identity_residual,
@@ -133,9 +130,7 @@ __all__ = [
     "operator_from_two_beta",
     "count_eigenvalues_leq",
     "count_eigenvalues_many",
-    "finite_volume_ids",
     "green_column",
-    "green_matrix",
     "u_field",
     "beta_from_u",
     "schur_y_and_a",
@@ -159,7 +154,6 @@ __all__ = [
     "branching_factor",
     "solve_critical_w",
     "fractional_moment_critical_w",
-    "combined_critical_w",
     "critical_report",
     "comparison_scan",
     # stats

@@ -24,19 +24,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import k0, k0e, k1, k1e
+from scipy.special import k0e, k1e
 
 __all__ = [
     "GAMMA_QUARTER",
     "CriticalReport",
-    "bessel_k",
     "step_decay_integral",
     "branching_factor",
     "branching_factor_dw",
     "branching_factor_dd",
     "solve_critical_w",
     "fractional_moment_critical_w",
-    "combined_critical_w",
     "critical_report",
     "comparison_scan",
 ]
@@ -47,22 +45,6 @@ __all__ = [
 GAMMA_QUARTER = math.gamma(0.25)
 
 ROOT_RESIDUAL_TOL = 1e-10
-
-
-def bessel_k(order: int, x) -> float | np.ndarray:
-    """Modified Bessel function of the second kind, order 0 or 1.
-
-    Delegates to the machine-accurate scipy kernels; the test suite pins the
-    values against direct quadrature of the integral definition at 1e-12
-    relative accuracy.
-    """
-    if order not in (0, 1):
-        raise ValueError("order must be 0 or 1")
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr <= 0):
-        raise ValueError("argument must be positive")
-    out = k0(x_arr) if order == 0 else k1(x_arr)
-    return float(out) if np.isscalar(x) or x_arr.ndim == 0 else out
 
 
 def step_decay_integral(w) -> float | np.ndarray:
@@ -78,8 +60,12 @@ def step_decay_integral(w) -> float | np.ndarray:
     return float(out) if np.isscalar(w) or w_arr.ndim == 0 else out
 
 
-def branching_factor(w, d: int) -> float | np.ndarray:
-    """F(w, d) = I(w) e^{w(2d-2)} (2d-1): per-step decay times walk growth."""
+def branching_factor(w, d: float) -> float | np.ndarray:
+    """F(w, d) = I(w) e^{w(2d-2)} (2d-1): per-step decay times walk growth.
+
+    The formula takes a real d >= 1 as well, which the derivative check of
+    :func:`comparison_scan` uses.
+    """
     if d < 1:
         raise ValueError("dimension must be >= 1")
     w_arr = np.asarray(w, dtype=float)
@@ -140,15 +126,6 @@ def fractional_moment_critical_w(d: int) -> float:
     return math.sqrt(math.pi) / (GAMMA_QUARTER * 2.0 ** 0.75 * d)
 
 
-def combined_critical_w(d: int) -> float | None:
-    """max of the two thresholds; None (infinite) in d = 1."""
-    w_c = solve_critical_w(d)
-    w_cp = fractional_moment_critical_w(d)
-    if w_c is None:
-        return None
-    return max(w_c, w_cp)
-
-
 @dataclass(frozen=True)
 class CriticalReport:
     """Root-finding summary for one dimension.
@@ -202,9 +179,7 @@ def comparison_scan(d_min: int = 2, d_max: int = 10, fd_step: float = 1e-7) -> d
         max_rel_err = max(max_rel_err, abs(fd_w - an_w) / abs(an_w))
         # derivative in d: F extends smoothly to real d through the formula
         hd = 1e-6
-        fd_d = (_branching_factor_real_d(w, d + hd) - _branching_factor_real_d(w, d - hd)) / (
-            2 * hd
-        )
+        fd_d = (branching_factor(w, d + hd) - branching_factor(w, d - hd)) / (2 * hd)
         an_d = branching_factor_dd(w, d)
         max_rel_err = max(max_rel_err, abs(fd_d - an_d) / abs(an_d))
 
@@ -219,7 +194,3 @@ def comparison_scan(d_min: int = 2, d_max: int = 10, fd_step: float = 1e-7) -> d
         "passed": increasing and min_f >= 2.9 and max_rel_err <= 1e-6,
     }
 
-
-def _branching_factor_real_d(w: float, d: float) -> float:
-    """F at real-valued d (only for finite-difference checks)."""
-    return float(step_decay_integral(w) * math.exp(w * (2 * d - 2)) * (2 * d - 1))

@@ -89,7 +89,6 @@ class BetaField:
     graph: WeightedGraph
     beta: np.ndarray
     w: float | None = None
-    provenance: str = ""
 
     def __post_init__(self):
         beta = np.ascontiguousarray(np.asarray(self.beta, dtype=np.float64))
@@ -128,12 +127,11 @@ def _dense_operator(g: WeightedGraph, beta: np.ndarray) -> np.ndarray:
 def log_density(f: BetaField) -> float:
     """Log of the field density at f.beta; -inf outside the support.
 
-    Evaluated through one symmetric factorization that supplies both the
-    log-determinant and the boundary quadratic form.
+    One dense Cholesky factor supplies both the log-determinant and the
+    boundary quadratic form; :func:`_log_density_batch` combines them.
     """
     g = f.graph
-    n = g.n_vertices
-    if n == 0:
+    if g.n_vertices == 0:
         raise ValueError("empty graph")
     m = _dense_operator(g, f.beta)
     try:
@@ -144,14 +142,12 @@ def log_density(f: BetaField) -> float:
     if not np.all(np.isfinite(diag)) or np.any(diag <= 0):
         return -math.inf
     logdet = 2.0 * float(np.sum(np.log(diag)))
-    q_ones = 2.0 * float(np.sum(f.beta)) - 2.0 * float(np.sum(g.weights))
     if np.any(g.eta):
         x = cho_solve((c, lower), g.eta, check_finite=False)
         q_eta = float(g.eta @ x)
     else:
         q_eta = 0.0
-    cross = 2.0 * float(np.sum(g.eta))
-    return -0.5 * (q_ones + q_eta - cross) - 0.5 * logdet + 0.5 * n * LOG_2_OVER_PI
+    return float(_log_density_batch(g, f.beta[None], q_eta, logdet)[0])
 
 
 def laplace_exact(g: WeightedGraph, lam, theta=None) -> float:
@@ -379,10 +375,9 @@ def sample_beta_batch(g: WeightedGraph, n_samples: int, rng: np.random.Generator
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def exact_field(g: WeightedGraph, rng: np.random.Generator, provenance: str = "exact") -> BetaField:
+def exact_field(g: WeightedGraph, rng: np.random.Generator) -> BetaField:
     """One exact sample wrapped as a BetaField."""
-    beta = sample_beta_batch(g, 1, rng)[0]
-    return BetaField(graph=g, beta=beta, provenance=provenance)
+    return BetaField(graph=g, beta=sample_beta_batch(g, 1, rng)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +412,7 @@ def _pivots_to_field(g: WeightedGraph, y: np.ndarray) -> tuple[np.ndarray, np.nd
 def _log_density_batch(
     g: WeightedGraph, beta: np.ndarray, q_eta: np.ndarray, log_pivots: np.ndarray
 ) -> np.ndarray:
-    """Vectorized log-density given the (always-valid) pivot parametrization."""
+    """Log-density of each row of beta, given <eta, M^-1 eta> and log det M."""
     q_ones = 2.0 * beta.sum(axis=1) - 2.0 * float(np.sum(g.weights))
     cross = 2.0 * float(np.sum(g.eta))
     n = beta.shape[1]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -69,9 +70,9 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
 def json_ready(obj):
     """Recursively convert dataclasses / numpy values to JSON-serializable form.
 
-    Non-finite floats are rejected downstream (``allow_nan=False``); commands
-    that can legitimately produce an unbounded value must encode it with
-    :func:`optional_infinite` instead of a floating infinity.
+    A float +inf (a deviation over a zero standard error, say) becomes the
+    tagged :func:`optional_infinite` encoding; NaN and -inf stay floats and
+    are rejected downstream (``allow_nan=False``).
     """
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: json_ready(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
@@ -86,7 +87,7 @@ def json_ready(obj):
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        return float(obj)
+        return optional_infinite(None) if obj == math.inf else float(obj)
     if obj is None or isinstance(obj, str):
         return obj
     if isinstance(obj, Path):

@@ -13,8 +13,11 @@ other graph the negative pivots of a sparse LDL^T factor of H - E in a
 fill-reducing order, where an energy that makes that factor singular or
 forces a row interchange (a tie, a zero diagonal) raises instead of
 counting.  The spectra met here are absolutely continuous, so ties occur
-only in hand-built examples.  Green solves factor the operator once by
-banded Cholesky at the graph's bandwidth.
+only in hand-built examples.  Green solves have two kernels, both in the
+graph's band: one field is factored by LAPACK banded Cholesky with iterative
+refinement and a residual check (:func:`green_column`), and a batch of
+fields, the estimators' slices, by one unpivoted LDL^T elimination with the
+samples on the last axis (:func:`_green_solve`).
 """
 
 from __future__ import annotations
@@ -22,13 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import (
-    LinAlgError,
-    cho_factor,
-    cho_solve,
-    cho_solve_banded,
-    cholesky_banded,
-)
+from numpy.lib.stride_tricks import as_strided
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
 from .field import BetaField
 from .graphs import DENSE_MAX, WeightedGraph
@@ -42,15 +40,12 @@ __all__ = [
     "count_eigenvalues_leq",
     "count_eigenvalues_many",
     "sturm_counts_batch",
-    "finite_volume_ids",
     "green_column",
-    "green_matrix",
     "u_field",
     "beta_from_u",
     "schur_y_and_a",
     "path_sum_green",
     "resolvent_identity_residual",
-    "dump_matrix",
 ]
 
 #: Residual guarantee for Green solves (infinity norm, after one refinement).
@@ -60,8 +55,6 @@ GREEN_RESIDUAL_TOL = 1e-10
 #: or denormal pivots by -PIVMIN, so an eigenvalue exactly at the threshold
 #: counts as "<=".
 PIVMIN = 1e-280
-
-MATRIX_DUMP_HEADER = "# rso-matrix v1"
 
 
 class FactorizationError(RuntimeError):
@@ -238,11 +231,6 @@ def count_eigenvalues_leq(m: OperatorMatrix, energy: float) -> int:
     return int(count_eigenvalues_many(m, [energy])[0])
 
 
-def finite_volume_ids(m: OperatorMatrix, energy: float) -> float:
-    """Eigenvalue counting measure per vertex: count(<= E) / n, in [0, 1]."""
-    return count_eigenvalues_leq(m, energy) / m.n
-
-
 # ---------------------------------------------------------------------------
 # Green solves
 # ---------------------------------------------------------------------------
@@ -296,15 +284,61 @@ def green_column(m: OperatorMatrix, j: int) -> np.ndarray:
     return _solve_refined(m, rhs)
 
 
-def green_matrix(m: OperatorMatrix) -> np.ndarray:
-    """Full inverse (dense), symmetrized."""
-    dense = m.to_dense()
-    try:
-        c = cho_factor(dense, lower=True, check_finite=False)
-    except LinAlgError as exc:
-        raise FactorizationError("operator is not positive definite") from exc
-    g = cho_solve(c, np.eye(m.n), check_finite=False)
-    return 0.5 * (g + g.T)
+def _green_solve(g: WeightedGraph, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve M X = rhs with M = diag(d) - W on g, for every row d of diag.
+
+    diag is (B, n) and rhs one shared (n, k) array; returns X, (B, n, k).
+    Unpivoted banded LDL' elimination in index order, samples on the last
+    axis.  Every vertex j > k coupled to vertex k lies in k+1 .. k+b with
+    b = ``g.bandwidth``, so M and all its fill sit in the band |i - j| <= b,
+    stored as band[v, b + j] = M[v, v + j] for j >= 0.  Eliminating k with
+    pivot d_k and row u = M[k, k+1 .. k+b] subtracts l u' from the trailing
+    b x b window, read through the band as one strided view, with
+    multipliers l = u / d_k, and subtracts l y_k from the right-hand side
+    (forward substitution).  The view's lower triangle lands in
+    band[:, :b], which is never read.  The multipliers then replace u, so
+    band[:, b:] holds (d_k, l), shape (n, b+1, B), for the back substitution
+    x_k = y_k / d_k - l'x_{k+1 .. k+b}.  Work is O(B n b^2) and memory
+    O(B n b).  M is positive definite wherever the law has mass, so every
+    pivot must be > 0; one that is not is a FactorizationError.
+    """
+    n_samples, n = diag.shape
+    b = g.bandwidth
+    lo, hi = g.edges[:, 0], g.edges[:, 1]
+    band = np.zeros((n, 2 * b + 1, n_samples))
+    band[:, b] = diag.T
+    band[lo, b + hi - lo] = -g.weights[:, None]
+    x = np.empty((n, rhs.shape[1], n_samples))
+    x[:] = rhs[:, :, None]
+    s0, s1, s2 = band.strides
+    for k in range(n):
+        piv = band[k, b]
+        if not piv.min() > 0:
+            raise FactorizationError("non-positive pivot: singular operator in a sampled slice")
+        m = min(b, n - 1 - k)
+        if m == 0:
+            continue
+        u = band[k, b + 1 : b + 1 + m]
+        mult = u * (1.0 / piv)
+        # window[i, j] = band[k+1+i, b+j-i] = M[k+1+i, k+1+j]
+        window = as_strided(band[k + 1, b:], shape=(m, m, n_samples), strides=(s0 - s1, s1, s2))
+        window -= mult[:, None] * u[None]
+        x[k + 1 : k + 1 + m] -= mult[:, None] * x[k]
+        u[...] = mult
+    for k in range(n - 1, -1, -1):
+        x[k] /= band[k, b]
+        m = min(b, n - 1 - k)
+        if m:
+            x[k] -= np.einsum("jb,jrb->rb", band[k, b + 1 : b + 1 + m], x[k + 1 : k + 1 + m])
+    return x.transpose(2, 0, 1)
+
+
+def _unit_columns(n: int, idx) -> np.ndarray:
+    """Columns idx of the n x n identity, without building it."""
+    idx = np.atleast_1d(idx)
+    out = np.zeros((n, idx.size))
+    out[idx, np.arange(idx.size)] = 1.0
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -417,13 +451,3 @@ def resolvent_identity_residual(f: BetaField) -> float:
     lhs = gs[center] - gd[center]
     rhs = float(np.sum(gd * corr * gs))
     return abs(lhs - rhs)
-
-
-def dump_matrix(m: OperatorMatrix) -> str:
-    """Coordinate-format text dump (debug): header plus "i j value" lines."""
-    lines = [MATRIX_DUMP_HEADER]
-    for k in range(m.n):
-        lines.append(f"{k} {k} {m.diag[k]:.17g}")
-    for (i, j), v in zip(m.graph.edges, m.offdiag):
-        lines.append(f"{i} {j} {v:.17g}")
-    return "\n".join(lines) + "\n"

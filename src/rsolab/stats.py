@@ -25,7 +25,6 @@ from itertools import groupby
 from operator import itemgetter
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 from scipy.special import gammainc
 
 from .field import laplace_exact, sample_beta_batch, slice_size
@@ -33,6 +32,8 @@ from .graphs import WeightedGraph, build_box, remove_vertex, subbox_indices
 from .operators import (
     FactorizationError,
     _checked_bc,
+    _green_solve,
+    _unit_columns,
     count_eigenvalues_many,
     operator_from_two_beta,
     sturm_counts_batch,
@@ -211,63 +212,6 @@ def batch_means(chains) -> tuple[float, float]:
         means.append(x[: x.size - x.size % size].reshape(-1, size).mean(axis=1))
     means = np.concatenate(means)
     return float(means.mean()), float(means.std(ddof=1) / math.sqrt(means.size))
-
-
-def _green_solve(g: WeightedGraph, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve M X = rhs with M = diag(d) - W on g, for every row d of diag.
-
-    diag is (B, n) and rhs one shared (n, k) array; returns X, (B, n, k).
-    Unpivoted banded LDL' elimination in index order, samples on the last
-    axis.  Every vertex j > k coupled to vertex k lies in k+1 .. k+b with
-    b = ``g.bandwidth``, so M and all its fill sit in the band |i - j| <= b,
-    stored as band[v, b + j] = M[v, v + j] for j >= 0.  Eliminating k with
-    pivot d_k and row u = M[k, k+1 .. k+b] subtracts l u' from the trailing
-    b x b window, read through the band as one strided view, with
-    multipliers l = u / d_k, and subtracts l y_k from the right-hand side
-    (forward substitution).  The view's lower triangle lands in
-    band[:, :b], which is never read.  The multipliers then replace u, so
-    band[:, b:] holds (d_k, l), shape (n, b+1, B), for the back substitution
-    x_k = y_k / d_k - l'x_{k+1 .. k+b}.  Work is O(B n b^2) and memory
-    O(B n b).  M is positive definite wherever the law has mass, so every
-    pivot must be > 0; one that is not is a FactorizationError.
-    """
-    n_samples, n = diag.shape
-    b = g.bandwidth
-    lo, hi = g.edges[:, 0], g.edges[:, 1]
-    band = np.zeros((n, 2 * b + 1, n_samples))
-    band[:, b] = diag.T
-    band[lo, b + hi - lo] = -g.weights[:, None]
-    x = np.empty((n, rhs.shape[1], n_samples))
-    x[:] = rhs[:, :, None]
-    s0, s1, s2 = band.strides
-    for k in range(n):
-        piv = band[k, b]
-        if not piv.min() > 0:
-            raise FactorizationError("non-positive pivot: singular operator in a sampled slice")
-        m = min(b, n - 1 - k)
-        if m == 0:
-            continue
-        u = band[k, b + 1 : b + 1 + m]
-        mult = u * (1.0 / piv)
-        # window[i, j] = band[k+1+i, b+j-i] = M[k+1+i, k+1+j]
-        window = as_strided(band[k + 1, b:], shape=(m, m, n_samples), strides=(s0 - s1, s1, s2))
-        window -= mult[:, None] * u[None]
-        x[k + 1 : k + 1 + m] -= mult[:, None] * x[k]
-        u[...] = mult
-    for k in range(n - 1, -1, -1):
-        x[k] /= band[k, b]
-        m = min(b, n - 1 - k)
-        if m:
-            x[k] -= np.einsum("jb,jrb->rb", band[k, b + 1 : b + 1 + m], x[k + 1 : k + 1 + m])
-    return x.transpose(2, 0, 1)
-
-
-def _unit_columns(n: int, idx) -> np.ndarray:
-    """Columns idx of the n x n identity, without building it."""
-    idx = np.atleast_1d(idx)
-    out = np.zeros((n, idx.size))
-    out[idx, np.arange(idx.size)] = 1.0
-    return out
 
 
 def _pinning_rate(g: WeightedGraph, betas: np.ndarray, vertex: int) -> np.ndarray:

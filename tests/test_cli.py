@@ -260,6 +260,15 @@ class TestStochasticCommands:
         assert rows[1]["ward_pair"]["value"] >= 1.0
         assert all(r["ward_single"]["value"] >= 1.0 for r in rows)
 
+    def test_martingale_single_sample_writes_summary(self, tmp_path, capsys):
+        # one sample has a zero psi SE, so the deviation in SEs is infinite
+        code = run(tmp_path, "martingale", "--d", "1", "--K", "2", "--inner", "1",
+                   "--W", "1", "--samples", "1")
+        assert code == 3
+        capsys.readouterr()
+        rows = load_summary(tmp_path, "martingale")["results"]["rows"]
+        assert rows[0]["mean_dev_se"] == {"value": None, "infinite": True}
+
     def test_monotonicity_quick_run(self, tmp_path, capsys):
         code = run(tmp_path, "monotonicity", "--samples", "3000", "--seed", "10")
         assert code == 0

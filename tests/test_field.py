@@ -379,7 +379,7 @@ def _reference_gibbs_chain(g, cfg, n_samples, chain):
             if state["since_refresh"] >= n:
                 state["green"] = field.fresh_green(g, beta)
                 state["since_refresh"] = 0
-        return BetaField(graph=g, beta=beta, w=f.w, provenance=f.provenance)
+        return BetaField(graph=g, beta=beta, w=f.w)
 
     def stream():
         rng = philox_stream(cfg.seed, chain)
@@ -492,7 +492,6 @@ def test_exact_field_wrapper():
     g = build_grid((3,), 1.0)
     f = exact_field(g, philox_stream(0))
     assert isinstance(f, BetaField)
-    assert f.provenance == "exact"
     assert np.all(f.beta > 0)
 
 

@@ -119,9 +119,18 @@ class TestWriteSummary:
                 tmp_path / "s.json",
                 command="demo",
                 config={},
-                results={"x": float("inf")},
+                results={"x": float("-inf")},
                 passed=False,
             )
+        # +inf is an unbounded value, written in the tagged encoding
+        p = write_summary(
+            tmp_path / "s.json",
+            command="demo",
+            config={},
+            results={"x": float("inf")},
+            passed=False,
+        )
+        assert json.loads(p.read_text())["results"]["x"] == {"value": None, "infinite": True}
 
     def test_seeds_optional(self, tmp_path):
         p = write_summary(

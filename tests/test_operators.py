@@ -12,11 +12,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rsolab.field import BetaField, exact_field, log_density, sample_beta_batch
+from rsolab.field import BetaField, exact_field, fresh_green, log_density, sample_beta_batch
 from rsolab.graphs import DENSE_MAX, WeightedGraph, build_box, build_grid
 from rsolab.operators import (
     GREEN_RESIDUAL_TOL,
-    MATRIX_DUMP_HEADER,
     PIVMIN,
     FactorizationError,
     OperatorMatrix,
@@ -24,10 +23,7 @@ from rsolab.operators import (
     beta_from_u,
     count_eigenvalues_leq,
     count_eigenvalues_many,
-    dump_matrix,
-    finite_volume_ids,
     green_column,
-    green_matrix,
     operator_from_two_beta,
     path_sum_green,
     resolvent_identity_residual,
@@ -271,11 +267,9 @@ class TestCounting:
 
     def test_finite_volume_ids_normalization(self):
         m = assemble(path_field(5, 1.0, 1.0))
-        assert finite_volume_ids(m, -1.0) == 0.0
-        assert finite_volume_ids(m, 100.0) == 1.0
-        mid = finite_volume_ids(m, 2.0)
-        assert 0.0 <= mid <= 1.0
-        assert mid == count_eigenvalues_leq(m, 2.0) / 5
+        assert count_eigenvalues_leq(m, -1.0) == 0
+        assert count_eigenvalues_leq(m, 100.0) == 5
+        assert 0 <= count_eigenvalues_leq(m, 2.0) <= 5
 
 
 class TestGreen:
@@ -289,10 +283,11 @@ class TestGreen:
             e[j] = 1.0
             assert np.max(np.abs(m.matvec(col) - e)) <= GREEN_RESIDUAL_TOL
 
-    def test_green_matrix_is_inverse(self):
+    def test_fresh_green_is_inverse(self):
         g = build_grid((3, 3), 0.5)
-        m = assemble(exact_field(g, philox_stream(17)))
-        gm = green_matrix(m)
+        f = exact_field(g, philox_stream(17))
+        m = assemble(f)
+        gm = fresh_green(g, f.beta)
         assert np.allclose(gm, gm.T, atol=0)
         assert np.max(np.abs(m.to_dense() @ gm - np.eye(m.n))) < 1e-9
 
@@ -308,8 +303,6 @@ class TestGreen:
     def test_not_positive_definite_raises(self):
         g = build_grid((2,), 4.0, boundary="zero")
         m = assemble(BetaField(graph=g, beta=np.array([0.5, 0.5])))
-        with pytest.raises(FactorizationError):
-            green_matrix(m)
         with pytest.raises(FactorizationError):
             green_column(m, 0)
         # a path longer than the dense cutoff fails with the same error type
@@ -329,7 +322,7 @@ class TestGreen:
         g = build_grid((n,), 1.0, boundary="zero", max_vertices=n)
         f = BetaField(graph=g, beta=np.ones(n))
         m = assemble(f)
-        for dense_form in (m.to_dense, lambda: green_matrix(m), lambda: log_density(f), g.weight_matrix):
+        for dense_form in (m.to_dense, lambda: fresh_green(g, f.beta), lambda: log_density(f), g.weight_matrix):
             with pytest.raises(ValueError, match="refused"):
                 dense_form()
 
@@ -364,7 +357,7 @@ class TestSchur:
     def test_two_routes_agree_and_match_green(self):
         g = build_grid((3, 3), 1.0, boundary="wired")
         f = exact_field(g, philox_stream(29))
-        gm = green_matrix(assemble(f))
+        gm = fresh_green(g, f.beta)
         for j in (0, 4, 8):
             y, a = schur_y_and_a(f, j)  # raises internally if routes disagree
             assert abs(y - 1.0 / gm[j, j]) < 1e-9
@@ -383,14 +376,14 @@ class TestPathSumGreen:
     def test_converges_to_solve(self, i, j):
         g = build_grid((3,), 0.5, boundary="wired")
         f = BetaField(graph=g, beta=np.ones(3))
-        gm = green_matrix(assemble(f))
+        gm = fresh_green(g, f.beta)
         val = path_sum_green(g, f.beta, i, j, max_len=120)
         assert abs(val - gm[i, j]) < 1e-8
 
     def test_truncation_error_decreases(self):
         g = build_grid((3,), 0.8, boundary="wired")
         f = exact_field(g, philox_stream(31))
-        gm = green_matrix(assemble(f))
+        gm = fresh_green(g, f.beta)
         errs = [abs(path_sum_green(g, f.beta, 0, 2, max_len=m) - gm[0, 2]) for m in (10, 40, 160, 640)]
         assert errs[-1] <= errs[0]
         assert errs[-1] < 1e-8
@@ -402,20 +395,6 @@ class TestResolventIdentity:
         g = build_box(d, half, w=1.0, boundary="wired")
         f = exact_field(g, philox_stream(seed + 300))
         assert resolvent_identity_residual(f) < 1e-10
-
-
-class TestDump:
-    def test_dump_matches_dense(self):
-        m = assemble(path_field(3, 1.0, 1.25))
-        text = dump_matrix(m)
-        lines = text.strip().split("\n")
-        assert lines[0] == MATRIX_DUMP_HEADER
-        dense = np.zeros((3, 3))
-        for line in lines[1:]:
-            i, j, v = line.split()
-            dense[int(i), int(j)] = float(v)
-            dense[int(j), int(i)] = float(v)
-        assert np.array_equal(dense, m.to_dense())
 
 
 class TestOperatorMatrixValidation:
@@ -443,5 +422,5 @@ def test_counting_methods_always_agree(seed, n, energy):
 def test_green_diag_positive(seed):
     g = build_grid((2, 2), 1.0, boundary="wired")
     f = exact_field(g, philox_stream(seed))
-    gm = green_matrix(assemble(f))
+    gm = fresh_green(g, f.beta)
     assert np.all(np.diag(gm) > 0)

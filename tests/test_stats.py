@@ -17,7 +17,7 @@ from scipy.special import gammainc
 from rsolab import stats
 from rsolab.field import _pivots_to_field, sample_beta_batch, slice_size
 from rsolab.graphs import build_box, build_grid, remove_vertex, subbox_indices
-from rsolab.operators import FactorizationError, operator_from_two_beta
+from rsolab.operators import FactorizationError, _green_solve, operator_from_two_beta
 from rsolab.rng import philox_stream
 from rsolab.stats import (
     SE_SLACK,
@@ -28,7 +28,6 @@ from rsolab.stats import (
     _chain_sizes,
     _chain_slices,
     _green_ratio,
-    _green_solve,
     batch_means,
     bound_audit,
     decay_moment_fit,
