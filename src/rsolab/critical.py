@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import k0e, k1e
 
 __all__ = [
     "GAMMA_QUARTER",
@@ -56,6 +55,8 @@ def step_decay_integral(w) -> float | np.ndarray:
     w_arr = np.asarray(w, dtype=float)
     if np.any(w_arr <= 0):
         raise ValueError("coupling must be positive")
+    from scipy.special import k0e
+
     out = np.sqrt(2.0 * w_arr / math.pi) * k0e(w_arr)
     return float(out) if np.isscalar(w) or w_arr.ndim == 0 else out
 
@@ -75,6 +76,8 @@ def branching_factor(w, d: float) -> float | np.ndarray:
 
 def branching_factor_dw(w, d: int) -> float | np.ndarray:
     """Partial derivative in w: (1/(2w) + (2d-1) - K_1(w)/K_0(w)) F(w, d)."""
+    from scipy.special import k0e, k1e
+
     w_arr = np.asarray(w, dtype=float)
     ratio = k1e(w_arr) / k0e(w_arr)  # = K_1/K_0, scaling cancels
     out = (0.5 / w_arr + (2 * d - 1) - ratio) * branching_factor(w_arr, d)

@@ -44,7 +44,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .graphs import WeightedGraph
 from .rig import sample_rig
@@ -133,10 +132,12 @@ def log_density(f: BetaField) -> float:
     g = f.graph
     if g.n_vertices == 0:
         raise ValueError("empty graph")
+    from scipy.linalg import cho_factor, cho_solve
+
     m = _dense_operator(g, f.beta)
     try:
         c, lower = cho_factor(m, lower=True, check_finite=False)
-    except LinAlgError:
+    except np.linalg.LinAlgError:
         return -math.inf
     diag = np.diag(c)
     if not np.all(np.isfinite(diag)) or np.any(diag <= 0):
@@ -188,10 +189,12 @@ def initial_beta(g: WeightedGraph) -> np.ndarray:
 
 def fresh_green(g: WeightedGraph, beta: np.ndarray) -> np.ndarray:
     """Full inverse of the operator, symmetrized; raises on lost positivity."""
+    from scipy.linalg import cho_factor, cho_solve
+
     m = _dense_operator(g, beta)
     try:
         c = cho_factor(m, lower=True, check_finite=False)
-    except LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:
         raise PositivityLossError(
             "operator not positive definite at refresh; inspect the field"
         ) from exc

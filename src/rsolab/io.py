@@ -98,10 +98,10 @@ def json_ready(obj):
 def optional_infinite(value: float | None) -> dict:
     """Tagged encoding of a possibly-unbounded quantity.
 
-    ``None`` means "no finite value exists" and is encoded explicitly; a
-    floating infinity never appears in any output file.
+    ``None`` or +inf means "no finite value exists" and is encoded
+    explicitly; a floating infinity never appears in any output file.
     """
-    if value is None:
+    if value is None or value == math.inf:
         return {"value": None, "infinite": True}
     return {"value": float(value), "infinite": False}
 

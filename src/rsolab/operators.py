@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
 from .field import BetaField
 from .graphs import DENSE_MAX, WeightedGraph
@@ -254,13 +253,15 @@ def _solve_refined(m: OperatorMatrix, rhs: np.ndarray) -> np.ndarray:
     residual cannot even be evaluated reliably in double precision, which
     matters when the solution is legitimately huge (near-singular samples).
     """
+    from scipy.linalg import cho_solve_banded, cholesky_banded
+
     lo, hi = m.graph.edges[:, 0], m.graph.edges[:, 1]
     ab = np.zeros((m.graph.bandwidth + 1, m.n))
     ab[0] = m.diag
     ab[hi - lo, lo] = m.offdiag
     try:
         c = (cholesky_banded(ab, lower=True, check_finite=False), True)
-    except LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:
         raise FactorizationError("operator is not positive definite") from exc
     x = cho_solve_banded(c, rhs, check_finite=False)
     for _ in range(3):

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
 
 __all__ = [
     "rig_logpdf",
@@ -79,6 +78,8 @@ def rig_cdf(a, y):
     not overflow.  The CDF is 0 for y <= 0 and 1 at y = inf; a NaN y, like
     a NaN a, raises ValueError.
     """
+    from scipy.special import log_ndtr, ndtr
+
     a = np.asarray(a, dtype=float)
     y = np.asarray(y, dtype=float)
     _check_parameter(a)

@@ -25,7 +25,6 @@ from itertools import groupby
 from operator import itemgetter
 
 import numpy as np
-from scipy.special import gammainc
 
 from .field import laplace_exact, sample_beta_batch, slice_size
 from .graphs import WeightedGraph, build_box, remove_vertex, subbox_indices
@@ -273,6 +272,7 @@ def estimate_ids(
             diag = 2.0 * betas / w + shift
             return sturm_counts_batch(diag, off, energies) / n
     else:
+        g.fill_reducing_pattern  # import scipy.sparse here, not in a chain thread mid-draw
 
         def eval_slice(betas: np.ndarray) -> np.ndarray:
             out = np.empty((betas.shape[0], k))
@@ -532,6 +532,8 @@ def localization_event_probabilities(
         ).astype(float)
 
     mean, se, n_tot = _run_chains(g, cfg, eval_slice, 7)
+    from scipy.special import gammainc
+
     tail_bound = float(gammainc(0.5, w * math.exp(-decay_rate * half_side) / 2.0))
     names = [
         "ratio_decay",
@@ -563,6 +565,7 @@ def localization_event_probabilities(
 
 def _gamma_ks(xs: np.ndarray) -> float:
     """Kolmogorov-Smirnov distance of xs from Gamma(1/2, 1)."""
+    from scipy.special import gammainc
     from scipy.stats import kstest
 
     return float(kstest(xs, lambda t: gammainc(0.5, t)).statistic)

@@ -417,19 +417,36 @@ def test_module_main_matches_script():
     assert proc.stdout.strip().startswith("rso ")
 
 
-def test_import_leaves_scipy_stats_and_optimize_unloaded():
-    # only validate and the Gamma-marginal audits use scipy.stats, and only
-    # counts on non-path graphs use scipy.sparse.linalg, so they load inside
-    # those functions; nothing in the package uses scipy.optimize
+def test_scipy_loads_only_where_a_command_computes_with_it(tmp_path):
+    # SciPy costs about 0.25 s and 25 MB per process, so it loads inside the
+    # functions that call it: counting on non-path graphs, the Gibbs refresh,
+    # green_column, the Bessel functions of `critical` and the KS tests of
+    # `validate`.  Importing the CLI, counting on a path, the monotonicity
+    # check and the exact sampler load no scipy module at all.
     probe = (
-        "import sys, rsolab.cli; print([m for m in sys.modules "
-        "if m.startswith(('scipy.stats', 'scipy.optimize', 'scipy.sparse.linalg'))])"
+        "import json, sys\n"
+        "from rsolab.cli import main\n"
+        "loaded = lambda: [m for m in sys.modules if m.startswith('scipy')]\n"
+        "seen = {'import': [0, loaded()]}\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    seen[argv[0]] = [main(argv), loaded()]\n"
+        "print(json.dumps(seen))\n"
     )
+    out = ["--out-dir", str(tmp_path)]
+    runs = [
+        ["ids", *out, "--d", "1", "--L", "5", "--W", "1.0", "--samples", "10"],
+        ["monotonicity", *out, "--vertices", "2", "--samples", "100"],
+        ["sample", *out, "--sampler", "exact", "--d", "2", "--L", "2", "--W", "1.0", "--samples", "4"],
+    ]
     proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env()
+        [sys.executable, "-c", probe, json.dumps(runs)],
+        capture_output=True,
+        text=True,
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    seen = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert seen == {name: [0, []] for name in ("import", "ids", "monotonicity", "sample")}
 
 
 def test_readme_library_example_runs(capsys):

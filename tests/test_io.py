@@ -85,6 +85,9 @@ class TestJsonReady:
     def test_optional_infinite(self):
         assert optional_infinite(None) == {"value": None, "infinite": True}
         assert optional_infinite(2.5) == {"value": 2.5, "infinite": False}
+        # +inf is "no finite value" too, and is tagged once, not nested
+        assert optional_infinite(np.float64(np.inf)) == {"value": None, "infinite": True}
+        assert json_ready({"a": optional_infinite(math.inf)}) == {"a": optional_infinite(None)}
 
 
 class TestWriteSummary:

@@ -78,3 +78,34 @@ def test_package_imports_are_acyclic():
         TopologicalSorter(deps).prepare()
     except CycleError as exc:
         pytest.fail("import cycle: " + " -> ".join(exc.args[1]))
+
+
+def _import_time_modules(tree: ast.Module) -> list[str]:
+    """Absolute imports that run when the module is imported, outside any function."""
+    found = []
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            found += [f"line {node.lineno}: {alias.name}" for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append(f"line {node.lineno}: {node.module}")
+        todo.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_no_module_level_scipy_import():
+    # importing SciPy costs about 0.25 s and 25 MB per process, so it is
+    # imported inside the functions that compute with it; a top-level import
+    # would put that cost back on every command
+    planted = ast.parse("import numpy\nif True:\n    from scipy.special import k0e\ndef f():\n    import scipy\n")
+    assert _import_time_modules(planted) == ["line 3: scipy.special", "line 1: numpy"]
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        top = _import_time_modules(ast.parse(path.read_text(), filename=str(path)))
+        scipy = [entry for entry in top if entry.split(": ")[1].split(".")[0] == "scipy"]
+        if scipy:
+            found[path.name] = scipy
+    assert found == {}
