@@ -26,10 +26,10 @@ Two samplers are provided:
   in O(n b^2) per sample with b the largest index gap of an edge (b = 1 on
   a path).
 * :func:`gibbs_chain` — Markov chain with exact single-site conditionals
-  and a rank-one-maintained Green matrix, refreshed once per sweep.  No
-  estimator uses it; it is kept for ``rso sample --sampler gibbs``, the
-  batch-means cross-check in ``rso validate`` and the conditional-law
-  test C4.
+  and a Green matrix updated in place per site by one BLAS ``dger`` (so
+  C-contiguous; symmetric to round-off), refreshed once per sweep.  It is
+  kept for ``rso sample --sampler gibbs``, the batch-means cross-check in
+  ``rso validate`` and the conditional-law test C4; no estimator uses it.
 
 :func:`quadrature_oracle` integrates against the density on graphs of up
 to three vertices, in the pivot variables y_k of the same elimination:
@@ -214,17 +214,23 @@ def gibbs_update_site(
     Returns (y, a): the drawn Schur variable and its conditional parameter.
     The Green matrix is updated by the rank-one identity for a diagonal
     perturbation; the multiplier 1 + delta*G_jj equals y*G_jj > 0, so the
-    update never pivots through zero while y stays positive.
+    update never pivots through zero while y stays positive.  One BLAS
+    ``dger`` writes it through ``green.T``, so ``green`` must be C-contiguous
+    float64 n x n; G_ij and G_ji round apart, so it is symmetric to round-off
+    until :func:`fresh_green`.  No entry is a sum, so no bit depends on threads.
     """
+    import scipy.linalg.blas
+
+    if green.dtype != np.float64 or green.shape != (beta.size,) * 2 or not green.flags.c_contiguous:
+        raise ValueError("green must be a C-contiguous float64 n x n array")
     gjj = green[j, j]
     a = float(green[j] @ eta) / gjj
     s = 2.0 * beta[j] - 1.0 / gjj
     y = sample_rig(a, rng)
     beta[j] = 0.5 * (y + s)
     delta = y - 1.0 / gjj  # change in the diagonal entry 2*beta_j
-    denom = 1.0 + delta * gjj
     col = green[:, j].copy()
-    green -= np.outer(col, col) * (delta / denom)
+    scipy.linalg.blas.dger(-delta / (1.0 + delta * gjj), col, col, a=green.T, overwrite_a=1)
     return y, a
 
 

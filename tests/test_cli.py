@@ -419,9 +419,9 @@ def test_module_main_matches_script():
 
 def test_scipy_loads_only_where_a_command_computes_with_it(tmp_path):
     # SciPy costs about 0.25 s and 25 MB per process, so it loads inside the
-    # functions that call it: counting on non-path graphs, the Gibbs refresh,
-    # green_column, the Bessel functions of `critical` and the KS tests of
-    # `validate`.  Importing the CLI, counting on a path, the monotonicity
+    # functions that call it: counting on non-path graphs, the Gibbs rank-one
+    # update and refresh, green_column, the Bessel functions of `critical` and
+    # the KS tests of `validate`.  Importing the CLI, counting on a path, the monotonicity
     # check and the exact sampler load no scipy module at all.
     probe = (
         "import json, sys\n"

@@ -26,6 +26,7 @@ from rsolab.field import (
     exact_field,
     fresh_green,
     gibbs_chain,
+    gibbs_update_site,
     initial_beta,
     laplace_exact,
     log_density,
@@ -360,6 +361,49 @@ class TestGibbsSampler:
     def test_gibbs_chain_rejects_no_samples(self):
         with pytest.raises(ValueError, match="n_samples"):
             gibbs_chain(build_grid((2,), 1.0), SamplerConfig(), 0)
+
+    @pytest.mark.parametrize(
+        "g",
+        [build_box(2, 4, w=1.0, boundary="wired"), build_grid((3,), 1.0, boundary="zero")],
+        ids=["box9x9-wired", "path3-zero"],
+    )
+    def test_sweep_of_updates_matches_fresh_green(self, g):
+        beta = initial_beta(g)
+        green = fresh_green(g, beta)
+        rng = philox_stream(21)
+        for j in range(g.n_vertices):
+            gibbs_update_site(beta, green, g.eta, j, rng)
+        want = fresh_green(g, beta)
+        assert np.max(np.abs(green - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_update_writes_the_callers_array(self):
+        # green is a C-contiguous view into a larger buffer: the update must
+        # land in that buffer, not in a copy
+        g = build_grid((3,), 1.0, boundary="zero")
+        beta = initial_beta(g)
+        store = np.zeros((2, 3, 3))
+        store[0] = fresh_green(g, beta)
+        before = store[0].copy()
+        green = store[0]
+        gibbs_update_site(beta, green, g.eta, 1, philox_stream(5))
+        assert np.shares_memory(green, store)
+        assert not np.array_equal(store[0], before)
+        np.testing.assert_allclose(store[0], fresh_green(g, beta), rtol=0, atol=1e-12)
+        assert not store[1].any()
+
+    @pytest.mark.parametrize(
+        "layout",
+        [np.asfortranarray, lambda m: np.repeat(m, 2, axis=1)[:, ::2], lambda m: m.astype(np.float32)],
+        ids=["fortran", "sliced", "float32"],
+    )
+    def test_update_refuses_a_green_it_cannot_write_in_place(self, layout):
+        g = build_grid((3,), 1.0, boundary="zero")
+        beta = initial_beta(g)
+        green = layout(fresh_green(g, beta))
+        before, beta0 = green.copy(), beta.copy()
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            gibbs_update_site(beta, green, g.eta, 0, philox_stream(5))
+        assert np.array_equal(green, before) and np.array_equal(beta, beta0)
 
 
 def _reference_gibbs_chain(g, cfg, n_samples, chain):

@@ -109,3 +109,43 @@ def test_no_module_level_scipy_import():
         if scipy:
             found[path.name] = scipy
     assert found == {}
+
+
+def _patched_names(tree: ast.Module) -> list[str]:
+    """`rsolab.<module>.<attr>` for each `tracer.patch(<module>, "<attr>", ...)` call."""
+    return [
+        f"rsolab.{node.args[0].id}.{node.args[1].value}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "patch"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "tracer"
+    ]
+
+
+def _unresolved(names: list[str]) -> list[str]:
+    missing = []
+    for name in names:
+        module, attr = name.rsplit(".", 1)
+        if not hasattr(importlib.import_module(module), attr):
+            missing.append(name)
+    return missing
+
+
+def test_traced_layer_names_resolve():
+    # the traced benchmark run wraps these names; one the package no longer
+    # has leaves its layer at 0 or its after-run check without input
+    planted = ast.parse(
+        'tracer.patch(field, "sample_rig", "a")\n'
+        'tracer.wrap(f, "b")\n'
+        'other.patch(stats, "c", "c")\n'
+        'def main():\n    tracer.patch(field, "no_such_name", "d", work=None)\n'
+    )
+    found = _patched_names(planted)
+    assert found == ["rsolab.field.sample_rig", "rsolab.field.no_such_name"]
+    assert _unresolved(found) == ["rsolab.field.no_such_name"]
+    traced = SRC.parent.parent / "perfbench" / "traced.py"
+    names = _patched_names(ast.parse(traced.read_text(), filename=str(traced)))
+    assert names
+    assert _unresolved(names) == []
