@@ -176,7 +176,7 @@ class WeightedGraph:
         arrays (both triangles stored), then the positions in the CSC data
         of each vertex's diagonal entry, (n,), and of each edge's two
         entries, (2, m).  Any operator on the graph fills that data.
-        ``estimate_ids`` builds it, importing SciPy, before its first draw.
+        ``estimate_ids`` builds it (importing SciPy) before its first draw above ``BAND_COUNT_MAX``.
         """
         from scipy.sparse import csc_array
         from scipy.sparse.linalg import splu

@@ -54,17 +54,21 @@ def format_cell(value) -> str:
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
-    """Write a CSV table with a header row and ``\\n`` line endings."""
+    """Stream a CSV table, ``\\n``-terminated, to a temporary file that becomes ``path`` when whole."""
     path = Path(path)
-    lines = [",".join(header)]
-    width = len(header)
-    for row in rows:
-        cells = [format_cell(c) for c in row]
-        if len(cells) != width:
-            raise ValueError(f"row width {len(cells)} does not match header width {width}")
-        lines.append(",".join(cells))
-    path.write_bytes(("\n".join(lines) + "\n").encode("ascii"))
-    return path
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("w", encoding="ascii", newline="") as out:
+            out.write(",".join(header) + "\n")
+            for row in rows:
+                cells = [format_cell(c) for c in row]
+                if len(cells) != len(header):
+                    raise ValueError(f"row width {len(cells)} does not match header width {len(header)}")
+                out.write(",".join(cells) + "\n")
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return tmp.replace(path)
 
 
 def json_ready(obj):

@@ -7,17 +7,17 @@ which dominates the simple form as a quadratic form.  The "scaled" form
 divides everything by the uniform coupling w.
 
 Eigenvalue counting below a threshold is exact up to floating comparison,
-with one counter per graph class: the Sturm pivot recursion on tridiagonal
-(path) operators, where ties at the threshold count as below, and on every
-other graph the negative pivots of a sparse LDL^T factor of H - E in a
-fill-reducing order, where an energy that makes that factor singular or
-forces a row interchange (a tie, a zero diagonal) raises instead of
-counting.  The spectra met here are absolutely continuous, so ties occur
-only in hand-built examples.  Green solves have two kernels, both in the
-graph's band: one field is factored by LAPACK banded Cholesky with iterative
-refinement and a residual check (:func:`green_column`), and a batch of
-fields, the estimators' slices, by one unpivoted LDL^T elimination with the
-samples on the last axis (:func:`_green_solve`).
+by the negative pivots of an LDL^T of H - E: Sturm's recursion on paths,
+where ties count as below; a NumPy sweep in the band up to bandwidth
+BAND_COUNT_MAX; SuperLU in a fill-reducing order on wider graphs and where
+the sweep meets a near-zero pivot, raising where H - E is singular or needs
+a row interchange (a tie, a zero diagonal).  The spectra met here are
+absolutely continuous, so ties occur only in hand-built examples.  Green
+solves have two kernels, both in the graph's band: one field is factored by
+LAPACK banded Cholesky with iterative refinement and a residual check
+(:func:`green_column`), and a batch of fields, the estimators' slices, by
+one unpivoted LDL^T elimination with the samples on the last axis
+(:func:`_green_solve`).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .field import BetaField
+from .field import SLICE_SCALARS, BetaField
 from .graphs import DENSE_MAX, WeightedGraph
 
 __all__ = [
@@ -54,6 +54,11 @@ GREEN_RESIDUAL_TOL = 1e-10
 #: or denormal pivots by -PIVMIN, so an eigenvalue exactly at the threshold
 #: counts as "<=".
 PIVMIN = 1e-280
+
+#: Widest band that the NumPy sweep counts; SuperLU counts wider graphs.
+BAND_COUNT_MAX = 17
+#: A band-sweep pivot below this times |H - E|_inf sends its energy to SuperLU.
+BAND_PIVOT_RTOL = float(np.sqrt(np.finfo(float).eps))
 
 
 class FactorizationError(RuntimeError):
@@ -191,19 +196,38 @@ def sturm_counts_batch(diag: np.ndarray, off: np.ndarray, energies: np.ndarray) 
     return counts
 
 
-def count_eigenvalues_many(m: OperatorMatrix, energies) -> np.ndarray:
-    """Counts of eigenvalues <= E for a whole energy grid.
+@np.errstate(all="ignore")  # a zero pivot's lane is flagged, whatever it computes
+def _band_counts(g: WeightedGraph, diag: np.ndarray, offdiag: np.ndarray, energies: np.ndarray):
+    """Negative pivots of the unpivoted LDL^T of H - E in g's band, and suspect lanes.
 
-    Paths run the Sturm recursion, where ties count as "<=".  Other graphs
-    count the negative pivots of P(H - E)P^T = LDL^T (Sylvester's law of
-    inertia): SuperLU factors in the graph's fill-reducing order with the
-    diagonal pivot forced, so the diagonal of U is D.  An energy whose factor
-    interchanged rows or is exactly singular raises
-    :class:`FactorizationError` instead of counting.
+    H = diag(d) + offdiag on g's edges for each row d of diag (B, n).  Both results
+    are flat over the B*k (sample, energy) lanes, sample-major; the lanes lie on the
+    last axis of band[v, b + j] = (H - E)[v, v + j], in chunks within ``SLICE_SCALARS``.
+    A lane is suspect if a pivot p is not finite or |p| <= BAND_PIVOT_RTOL * |H - E|_inf.
     """
-    energies = np.asarray(energies, dtype=float).reshape(-1)
-    if m.graph.is_path:
-        return sturm_counts_batch(m.diag[None, :], m.offdiag, energies)[0]
+    n, b, (lo, hi) = g.n_vertices, g.bandwidth, g.edges.T
+    shifted = (diag[:, :, None] - energies).transpose(1, 0, 2).reshape(n, -1)
+    off_rows = np.bincount(g.edges.ravel(), np.repeat(np.abs(offdiag), 2), minlength=n)
+    floor = BAND_PIVOT_RTOL * np.max(np.abs(shifted) + off_rows[:, None], axis=0)
+    pivots = np.empty_like(shifted)
+    chunk = max(1, SLICE_SCALARS // ((n + b) * (2 * b + 1)))
+    for c in range(0, shifted.shape[1], chunk):
+        band = np.zeros((n + b, 2 * b + 1, min(chunk, shifted.shape[1] - c)))  # b zero rows at the bottom
+        band[:n, b] = shifted[:, c : c + chunk]
+        band[lo, b + hi - lo] = offdiag[:, None]
+        s0, s1, s2 = band.strides
+        # windows[v, i, j] = band[v+1+i, b+j-i] = (H - E)[v+1+i, v+1+j], all b x b
+        windows = as_strided(band[1, b:], shape=(n, b, b, band.shape[2]), strides=(s0, s0 - s1, s1, s2))
+        rows, cols, piv = band[:, b + 1 :, None], band[:, None, b + 1 :], band[:, b, None, None]
+        for v, window in enumerate(windows):
+            window -= (rows[v] / piv[v]) * cols[v]
+        pivots[:, c : c + chunk] = band[:n, b]
+    suspect = ~np.all(np.isfinite(pivots) & (np.abs(pivots) > floor), axis=0)
+    return np.count_nonzero(pivots < 0.0, axis=0), suspect
+
+
+def _superlu_counts(m: OperatorMatrix, energies: np.ndarray) -> np.ndarray:
+    """Negative pivots of SuperLU's LDL^T of H - E in the fill-reducing order, so U's diagonal is D."""
     from scipy.sparse import csc_array
     from scipy.sparse.linalg import splu
 
@@ -222,6 +246,26 @@ def count_eigenvalues_many(m: OperatorMatrix, energies) -> np.ndarray:
         if not (np.array_equal(lu.perm_r, natural) and np.array_equal(lu.perm_c, natural)):
             raise FactorizationError(f"LDL^T of H - E needs a row interchange at E={energy:.17g}")
         counts[k] = np.count_nonzero(lu.U.diagonal() < PIVMIN)
+    return counts
+
+
+def count_eigenvalues_many(m: OperatorMatrix, energies) -> np.ndarray:
+    """Counts of eigenvalues <= E for a whole energy grid.
+
+    Paths run the Sturm recursion, where ties count as "<=".  Other graphs count
+    the negative pivots of an LDL^T of H - E (Sylvester's law of inertia): by
+    :func:`_band_counts` up to bandwidth BAND_COUNT_MAX; on wider graphs and at
+    the energies it flags, by SuperLU with the diagonal pivot forced, which
+    raises :class:`FactorizationError` where that factor interchanged rows or is singular.
+    """
+    energies = np.asarray(energies, dtype=float).reshape(-1)
+    if m.graph.is_path:
+        return sturm_counts_batch(m.diag[None, :], m.offdiag, energies)[0]
+    if m.graph.bandwidth > BAND_COUNT_MAX:
+        return _superlu_counts(m, energies)
+    counts, suspect = _band_counts(m.graph, m.diag[None, :], m.offdiag, energies)
+    if suspect.any():
+        counts[suspect] = _superlu_counts(m, energies[suspect])
     return counts
 
 

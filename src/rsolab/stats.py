@@ -29,6 +29,7 @@ import numpy as np
 from .field import laplace_exact, sample_beta_batch, slice_size
 from .graphs import WeightedGraph, build_box, remove_vertex, subbox_indices
 from .operators import (
+    BAND_COUNT_MAX,
     FactorizationError,
     _checked_bc,
     _green_solve,
@@ -272,7 +273,8 @@ def estimate_ids(
             diag = 2.0 * betas / w + shift
             return sturm_counts_batch(diag, off, energies) / n
     else:
-        g.fill_reducing_pattern  # import scipy.sparse here, not in a chain thread mid-draw
+        if g.bandwidth > BAND_COUNT_MAX:
+            g.fill_reducing_pattern  # SuperLU counts: import SciPy before the first draw
 
         def eval_slice(betas: np.ndarray) -> np.ndarray:
             out = np.empty((betas.shape[0], k))

@@ -419,10 +419,11 @@ def test_module_main_matches_script():
 
 def test_scipy_loads_only_where_a_command_computes_with_it(tmp_path):
     # SciPy costs about 0.25 s and 25 MB per process, so it loads inside the
-    # functions that call it: counting on non-path graphs, the Gibbs rank-one
-    # update and refresh, green_column, the Bessel functions of `critical` and
-    # the KS tests of `validate`.  Importing the CLI, counting on a path, the monotonicity
-    # check and the exact sampler load no scipy module at all.
+    # functions that call it: counting on graphs wider than `BAND_COUNT_MAX`,
+    # the Gibbs rank-one update and refresh, green_column, the Bessel
+    # functions of `critical` and the KS tests of `validate`.  Importing the
+    # CLI, counting on a path or a narrow box, the monotonicity check and the
+    # exact sampler load no scipy module at all.
     probe = (
         "import json, sys\n"
         "from rsolab.cli import main\n"
@@ -435,6 +436,7 @@ def test_scipy_loads_only_where_a_command_computes_with_it(tmp_path):
     out = ["--out-dir", str(tmp_path)]
     runs = [
         ["ids", *out, "--d", "1", "--L", "5", "--W", "1.0", "--samples", "10"],
+        ["wegner", *out, "--d", "2", "--L", "2", "--W", "1.0", "--energy", "0.5", "--samples", "10"],
         ["monotonicity", *out, "--vertices", "2", "--samples", "100"],
         ["sample", *out, "--sampler", "exact", "--d", "2", "--L", "2", "--W", "1.0", "--samples", "4"],
     ]
@@ -446,7 +448,7 @@ def test_scipy_loads_only_where_a_command_computes_with_it(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert seen == {name: [0, []] for name in ("import", "ids", "monotonicity", "sample")}
+    assert seen == {name: [0, []] for name in ("import", "ids", "wegner", "monotonicity", "sample")}
 
 
 def test_readme_library_example_runs(capsys):

@@ -42,6 +42,22 @@ class TestWriteCsv:
         with pytest.raises(ValueError):
             write_csv(tmp_path / "t.csv", ["a", "b"], [(1,)])
 
+    def test_streamed_bytes_and_no_partial_file(self, tmp_path):
+        rows = [
+            (1, 0.1, True, None),
+            (np.int64(-2), np.float64(-2.5e-7), np.bool_(False), "x"),
+            (0, 2.0, False, 1.5),
+        ]
+        p = write_csv(tmp_path / "t.csv", ["i", "x", "flag", "opt"], rows)
+        assert p.read_bytes() == (
+            b"i,x,flag,opt\n1,0.10000000000000001,1,\n-2,-2.4999999999999999e-07,0,x\n0,2,0,1.5\n"
+        )
+        # a bad row after good ones leaves neither the table nor its temporary
+        for bad in ((7, 1.0, True), (7, "a,b", True, None)):
+            with pytest.raises(ValueError):
+                write_csv(tmp_path / "bad.csv", ["i", "x", "flag", "opt"], [rows[0], bad])
+            assert sorted(q.name for q in tmp_path.iterdir()) == ["t.csv"]
+
     def test_rerun_byte_identical(self, tmp_path):
         rows = [(k, math.sqrt(k)) for k in range(50)]
         p1 = write_csv(tmp_path / "r1.csv", ["k", "v"], rows)

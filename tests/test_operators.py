@@ -12,9 +12,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rsolab import operators
 from rsolab.field import BetaField, exact_field, fresh_green, log_density, sample_beta_batch
 from rsolab.graphs import DENSE_MAX, WeightedGraph, build_box, build_grid
 from rsolab.operators import (
+    BAND_COUNT_MAX,
     GREEN_RESIDUAL_TOL,
     PIVMIN,
     FactorizationError,
@@ -30,6 +32,8 @@ from rsolab.operators import (
     schur_y_and_a,
     sturm_counts_batch,
     u_field,
+    _band_counts,
+    _superlu_counts,
 )
 from rsolab.rng import philox_stream
 
@@ -264,6 +268,40 @@ class TestCounting:
             ns = count_eigenvalues_many(assemble(f, bc="simple"), energies)
             nd = count_eigenvalues_many(assemble(f, bc="dirichlet"), energies)
             assert np.all(nd <= ns)
+
+    @pytest.mark.parametrize("bc", ["simple", "dirichlet"])
+    @pytest.mark.parametrize("d,half_side", [(2, 2), (2, 4), (2, 8), (3, 1)])
+    def test_band_counts_match_oracle_and_superlu(self, d, half_side, bc):
+        # the boxes the band sweep counts, b = 5, 9, 17 and 9, on the scaled
+        # operator of estimate_ids, at energies from below its spectrum to
+        # above it and on ids_box's grid
+        w = 1.0
+        g = build_box(d, half_side, w=w, boundary="wired")
+        assert not g.is_path and g.bandwidth <= BAND_COUNT_MAX
+        energies = np.concatenate((np.geomspace(0.05, 1.0, 10), np.linspace(-1.0, 4 * d + 4, 13)))
+        for beta in sample_beta_batch(g, 3, philox_stream(59 + half_side)):
+            m = operator_from_two_beta(g, 2.0 * beta, bc=bc, scaled=True, w=w)
+            band, suspect = _band_counts(g, m.diag[None, :], m.offdiag, energies)
+            dense = m.to_dense()
+            want = [count_oracle(dense, e) for e in energies]
+            assert not suspect.any()
+            assert list(band) == list(_superlu_counts(m, energies)) == want
+            assert list(count_eigenvalues_many(m, energies)) == want
+
+    def test_band_counts_do_not_depend_on_the_chunking(self, monkeypatch):
+        # three samples x ten energies are 30 lanes, in one chunk at the
+        # slice budget and in chunks of 7 lanes below it
+        g = build_box(2, 4, w=1.0, boundary="wired")
+        diag = 2.0 * sample_beta_batch(g, 3, philox_stream(61))
+        off = -g.weights
+        energies = np.linspace(0.0, 8.0, 10)
+        whole = _band_counts(g, diag, off, energies)
+        n, b = g.n_vertices, g.bandwidth
+        monkeypatch.setattr(operators, "SLICE_SCALARS", 7 * (n + b) * (2 * b + 1))
+        chunked = _band_counts(g, diag, off, energies)
+        assert np.array_equal(whole[0], chunked[0]) and np.array_equal(whole[1], chunked[1])
+        for row, d in zip(whole[0].reshape(3, -1), diag):
+            assert list(row) == [count_oracle(operator_from_two_beta(g, d).to_dense(), e) for e in energies]
 
     def test_finite_volume_ids_normalization(self):
         m = assemble(path_field(5, 1.0, 1.0))
