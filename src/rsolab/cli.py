@@ -102,21 +102,13 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
-def _parse_float_list(text: str, flag: str) -> list[float]:
+def _parse_list(text: str, flag: str, kind: type) -> list:
+    """The comma-separated values of ``text`` as ``kind`` (float or int), at least one."""
     try:
-        vals = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        vals = [kind(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
-        raise ConfigError(f"{flag} expects a comma-separated list of reals: {exc}") from exc
-    if not vals:
-        raise ConfigError(f"{flag} must list at least one value")
-    return vals
-
-
-def _parse_int_list(text: str, flag: str) -> list[int]:
-    try:
-        vals = [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise ConfigError(f"{flag} expects a comma-separated list of integers: {exc}") from exc
+        noun = "reals" if kind is float else "integers"
+        raise ConfigError(f"{flag} expects a comma-separated list of {noun}: {exc}") from exc
     if not vals:
         raise ConfigError(f"{flag} must list at least one value")
     return vals
@@ -260,7 +252,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 def _energy_grid(args: argparse.Namespace) -> np.ndarray:
     if args.energies is not None:
-        return np.asarray(_parse_float_list(args.energies, "--energies"))
+        return np.asarray(_parse_list(args.energies, "--energies", float))
     if not (0 < args.e_min <= args.e_max):
         raise ConfigError("need 0 < --e-min <= --e-max")
     if args.n_energies < 1:
@@ -307,7 +299,7 @@ def _cmd_ids(args: argparse.Namespace) -> int:
 
 
 def _cmd_wegner(args: argparse.Namespace) -> int:
-    epsilons = _parse_float_list(args.epsilons, "--epsilons")
+    epsilons = _parse_list(args.epsilons, "--epsilons", float)
     cfg = _mc_config(args.samples, args.seed, args.chains)
     report = wegner_audit(args.d, args.half_side, args.w, args.bc, args.energy, epsilons, cfg)
     csv_path = write_csv(
@@ -382,22 +374,21 @@ def _cmd_critical(args: argparse.Namespace) -> int:
     return _finish(args, "critical", results, passed, {"master": args.seed})
 
 
+def _identity_checks(g, betas: np.ndarray, w: float, inner: int) -> tuple[list, float, float]:
+    """Resistance-identity reports of each field in betas, their worst relative
+    error and their worst harmonic residual (both 0.0 when there are none)."""
+    reps = [identity_check(BetaField(graph=g, beta=beta, w=w), inner, check=False) for beta in betas]
+    return reps, max([0.0, *(r.rel_err for r in reps)]), max([0.0, *(r.harmonic_residual for r in reps)])
+
+
 def _cmd_resistance(args: argparse.Namespace) -> int:
     if args.half_side >= args.outer_half_side:
         raise ConfigError("--L must be smaller than --K")
     g = build_box(args.d, args.outer_half_side, w=args.w, boundary="wired")
     betas = sample_beta_batch(g, args.samples, philox_stream(args.seed, 0))
-    rows = []
-    worst_rel = 0.0
-    worst_harm = 0.0
-    nw_ok = True
-    for i in range(args.samples):
-        f = BetaField(graph=g, beta=betas[i], w=args.w)
-        rep = identity_check(f, args.half_side, check=False)
-        worst_rel = max(worst_rel, rep.rel_err)
-        worst_harm = max(worst_harm, rep.harmonic_residual)
-        nw_ok = nw_ok and rep.nash_williams <= rep.rhs * (1.0 + 1e-9)
-        rows.append((i, rep.lhs, rep.rhs, rep.rel_err, rep.harmonic_residual, rep.nash_williams))
+    reps, worst_rel, worst_harm = _identity_checks(g, betas, args.w, args.half_side)
+    nw_ok = all(rep.nash_williams <= rep.rhs * (1.0 + 1e-9) for rep in reps)
+    rows = [(i, r.lhs, r.rhs, r.rel_err, r.harmonic_residual, r.nash_williams) for i, r in enumerate(reps)]
     csv_path = write_csv(
         _out_dir(args) / "resistance.csv",
         ["sample", "lhs", "rhs", "rel_err", "harmonic_residual", "nash_williams"],
@@ -417,7 +408,7 @@ def _cmd_resistance(args: argparse.Namespace) -> int:
 
 
 def _cmd_martingale(args: argparse.Namespace) -> int:
-    inner = _parse_int_list(args.inner, "--inner")
+    inner = _parse_list(args.inner, "--inner", int)
     cfg = _mc_config(args.samples, args.seed, args.chains)
     try:
         report = martingale_check(args.d, args.outer_half_side, inner, args.w, cfg)
@@ -552,13 +543,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     for j, (d, outer, inner, w) in enumerate(_VALIDATE_IDENTITY_CASES):
         g = build_box(d, outer, w=w, boundary="wired")
         betas = sample_beta_batch(g, args.identity_samples, philox_stream(seed + 3, j))
-        max_rel = 0.0
-        max_harm = 0.0
-        for i in range(args.identity_samples):
-            f = BetaField(graph=g, beta=betas[i], w=w)
-            rep = identity_check(f, inner, check=False)
-            max_rel = max(max_rel, rep.rel_err)
-            max_harm = max(max_harm, rep.harmonic_residual)
+        _, max_rel, max_harm = _identity_checks(g, betas, w, inner)
         add(f"identity_rel_err_d{d}", max_rel, IDENTITY_RTOL, max_rel <= IDENTITY_RTOL)
         add(f"identity_harmonic_d{d}", max_harm, HARMONIC_TOL, max_harm <= HARMONIC_TOL)
 

@@ -6,18 +6,18 @@ M = 2*diag(beta) - W ("simple" boundary condition).  On a box in Z^d the
 which dominates the simple form as a quadratic form.  The "scaled" form
 divides everything by the uniform coupling w.
 
-Eigenvalue counting below a threshold is exact up to floating comparison,
-by the negative pivots of an LDL^T of H - E: Sturm's recursion on paths,
-where ties count as below; a NumPy sweep in the band up to bandwidth
-BAND_COUNT_MAX; SuperLU in a fill-reducing order on wider graphs and where
-the sweep meets a near-zero pivot, raising where H - E is singular or needs
-a row interchange (a tie, a zero diagonal).  The spectra met here are
-absolutely continuous, so ties occur only in hand-built examples.  Green
-solves have two kernels, both in the graph's band: one field is factored by
-LAPACK banded Cholesky with iterative refinement and a residual check
-(:func:`green_column`), and a batch of fields, the estimators' slices, by
-one unpivoted LDL^T elimination with the samples on the last axis
-(:func:`_green_solve`).
+One unpivoted banded LDL^T elimination, :func:`_band_ldl`, factors a batch
+of operators with the lanes on the last axis.  Eigenvalue counting below a
+threshold is exact up to floating comparison, by the negative pivots of an
+LDL^T of H - E: Sturm's recursion on paths, where ties count as below;
+:func:`_band_ldl` with the energies as lanes up to bandwidth BAND_COUNT_MAX;
+SuperLU in a fill-reducing order on wider graphs and where the band meets a
+near-zero pivot, raising where H - E is singular or needs a row interchange
+(a tie, a zero diagonal).  The spectra met here are absolutely continuous,
+so ties occur only in hand-built examples.  A batch of Green solves, the
+estimators' slices, is :func:`_band_ldl` with the samples as lanes
+(:func:`_green_solve`); one field stays on LAPACK banded Cholesky with
+iterative refinement and a residual check (:func:`green_column`).
 """
 
 from __future__ import annotations
@@ -196,32 +196,54 @@ def sturm_counts_batch(diag: np.ndarray, off: np.ndarray, energies: np.ndarray) 
     return counts
 
 
-@np.errstate(all="ignore")  # a zero pivot's lane is flagged, whatever it computes
+@np.errstate(all="ignore")  # a zero pivot leaves its lane non-finite; callers check the pivots
+def _band_ldl(g: WeightedGraph, shifted: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
+    """Unpivoted LDL^T in index order of diag(s) + offdiag on g's edges, per column s of shifted.
+
+    shifted is (n, S), lanes on the last axis.  Every vertex j > v coupled to v
+    lies in v+1 .. v+b with b = ``g.bandwidth``, so the operator A and its fill
+    sit in band[v, b + j] = A[v, v + j], j >= 0, with b - 1 zero rows below so
+    that every trailing window is b x b.  Eliminating v < n - 1 with pivot d_v
+    and row u = A[v, v+1 .. v+b] subtracts l u' from that window, one strided
+    view, with multipliers l = u * (1/d_v); l then fills row v's slots in
+    band[:, :b], where the windows' lower triangles land and no later step
+    reads.  Returns the band: pivots band[:n, b], multipliers band[:n-1, :b];
+    O(S n b^2) work.  No pivot is checked here.  One field has no lanes to share
+    the per-vertex loop, so green_column stays on LAPACK: a one-field
+    _green_solve takes 2.0 ms against its 0.11 ms at n = 121 (d = 2) and 35 ms
+    against 0.39 ms on a 4,001-vertex path (2-vCPU VM).
+    """
+    n, b, (lo, hi) = g.n_vertices, g.bandwidth, g.edges.T
+    band = np.zeros((n + b - 1, 2 * b + 1, shifted.shape[1]))
+    band[:n, b] = shifted
+    band[lo, b + hi - lo] = offdiag[:, None]
+    s0, s1, s2 = band.strides
+    # windows[v, i, j] = band[v+1+i, b+j-i] = A[v+1+i, v+1+j], all b x b
+    windows = as_strided(band[1:, b:], shape=(n - 1, b, b, band.shape[2]), strides=(s0, s0 - s1, s1, s2))
+    rows, cols, pivots = band[:, b + 1 :, None], band[:, None, b + 1 :], band[:, b, None, None]
+    prod = np.empty((b, b, band.shape[2]))
+    for window, mult, row, col, piv in zip(windows, band[:, :b, None], rows, cols, pivots):
+        np.multiply(row, np.reciprocal(piv), mult)  # out= as a keyword costs about 1 us a call
+        window -= np.multiply(mult, col, prod)
+    return band
+
+
 def _band_counts(g: WeightedGraph, diag: np.ndarray, offdiag: np.ndarray, energies: np.ndarray):
     """Negative pivots of the unpivoted LDL^T of H - E in g's band, and suspect lanes.
 
     H = diag(d) + offdiag on g's edges for each row d of diag (B, n).  Both results
-    are flat over the B*k (sample, energy) lanes, sample-major; the lanes lie on the
-    last axis of band[v, b + j] = (H - E)[v, v + j], in chunks within ``SLICE_SCALARS``.
-    A lane is suspect if a pivot p is not finite or |p| <= BAND_PIVOT_RTOL * |H - E|_inf.
+    are flat over the B*k (sample, energy) lanes, sample-major, factored by
+    :func:`_band_ldl` in chunks of lanes within ``SLICE_SCALARS``.  A lane is
+    suspect if a pivot p is not finite or |p| <= BAND_PIVOT_RTOL * |H - E|_inf.
     """
-    n, b, (lo, hi) = g.n_vertices, g.bandwidth, g.edges.T
+    n, b = g.n_vertices, g.bandwidth
     shifted = (diag[:, :, None] - energies).transpose(1, 0, 2).reshape(n, -1)
     off_rows = np.bincount(g.edges.ravel(), np.repeat(np.abs(offdiag), 2), minlength=n)
     floor = BAND_PIVOT_RTOL * np.max(np.abs(shifted) + off_rows[:, None], axis=0)
     pivots = np.empty_like(shifted)
-    chunk = max(1, SLICE_SCALARS // ((n + b) * (2 * b + 1)))
+    chunk = max(1, SLICE_SCALARS // ((n + b - 1) * (2 * b + 1)))
     for c in range(0, shifted.shape[1], chunk):
-        band = np.zeros((n + b, 2 * b + 1, min(chunk, shifted.shape[1] - c)))  # b zero rows at the bottom
-        band[:n, b] = shifted[:, c : c + chunk]
-        band[lo, b + hi - lo] = offdiag[:, None]
-        s0, s1, s2 = band.strides
-        # windows[v, i, j] = band[v+1+i, b+j-i] = (H - E)[v+1+i, v+1+j], all b x b
-        windows = as_strided(band[1, b:], shape=(n, b, b, band.shape[2]), strides=(s0, s0 - s1, s1, s2))
-        rows, cols, piv = band[:, b + 1 :, None], band[:, None, b + 1 :], band[:, b, None, None]
-        for v, window in enumerate(windows):
-            window -= (rows[v] / piv[v]) * cols[v]
-        pivots[:, c : c + chunk] = band[:n, b]
+        pivots[:, c : c + chunk] = _band_ldl(g, shifted[:, c : c + chunk], offdiag)[:n, b]
     suspect = ~np.all(np.isfinite(pivots) & (np.abs(pivots) > floor), axis=0)
     return np.count_nonzero(pivots < 0.0, axis=0), suspect
 
@@ -332,50 +354,27 @@ def green_column(m: OperatorMatrix, j: int) -> np.ndarray:
 def _green_solve(g: WeightedGraph, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve M X = rhs with M = diag(d) - W on g, for every row d of diag.
 
-    diag is (B, n) and rhs one shared (n, k) array; returns X, (B, n, k).
-    Unpivoted banded LDL' elimination in index order, samples on the last
-    axis.  Every vertex j > k coupled to vertex k lies in k+1 .. k+b with
-    b = ``g.bandwidth``, so M and all its fill sit in the band |i - j| <= b,
-    stored as band[v, b + j] = M[v, v + j] for j >= 0.  Eliminating k with
-    pivot d_k and row u = M[k, k+1 .. k+b] subtracts l u' from the trailing
-    b x b window, read through the band as one strided view, with
-    multipliers l = u / d_k, and subtracts l y_k from the right-hand side
-    (forward substitution).  The view's lower triangle lands in
-    band[:, :b], which is never read.  The multipliers then replace u, so
-    band[:, b:] holds (d_k, l), shape (n, b+1, B), for the back substitution
-    x_k = y_k / d_k - l'x_{k+1 .. k+b}.  Work is O(B n b^2) and memory
-    O(B n b).  M is positive definite wherever the law has mass, so every
-    pivot must be > 0; one that is not is a FactorizationError.
+    diag is (B, n) and rhs one shared (n, k) array; returns X, (B, n, k).  M is
+    factored by :func:`_band_ldl` with the samples as lanes, then forward
+    substitution y_{v+1 .. v+b} -= l_v y_v and back substitution
+    x_v = y_v / d_v - l_v'x_{v+1 .. v+b} run in a solution padded like the band.
+    M is positive definite wherever the law has mass, so a pivot that is not
+    > 0 (or is NaN) is a FactorizationError.
     """
-    n_samples, n = diag.shape
-    b = g.bandwidth
-    lo, hi = g.edges[:, 0], g.edges[:, 1]
-    band = np.zeros((n, 2 * b + 1, n_samples))
-    band[:, b] = diag.T
-    band[lo, b + hi - lo] = -g.weights[:, None]
-    x = np.empty((n, rhs.shape[1], n_samples))
-    x[:] = rhs[:, :, None]
-    s0, s1, s2 = band.strides
-    for k in range(n):
-        piv = band[k, b]
-        if not piv.min() > 0:
-            raise FactorizationError("non-positive pivot: singular operator in a sampled slice")
-        m = min(b, n - 1 - k)
-        if m == 0:
-            continue
-        u = band[k, b + 1 : b + 1 + m]
-        mult = u * (1.0 / piv)
-        # window[i, j] = band[k+1+i, b+j-i] = M[k+1+i, k+1+j]
-        window = as_strided(band[k + 1, b:], shape=(m, m, n_samples), strides=(s0 - s1, s1, s2))
-        window -= mult[:, None] * u[None]
-        x[k + 1 : k + 1 + m] -= mult[:, None] * x[k]
-        u[...] = mult
-    for k in range(n - 1, -1, -1):
-        x[k] /= band[k, b]
-        m = min(b, n - 1 - k)
-        if m:
-            x[k] -= np.einsum("jb,jrb->rb", band[k, b + 1 : b + 1 + m], x[k + 1 : k + 1 + m])
-    return x.transpose(2, 0, 1)
+    n, b = g.n_vertices, g.bandwidth
+    band = _band_ldl(g, diag.T, -g.weights)
+    if not band[:n, b].min() > 0:
+        raise FactorizationError("non-positive pivot: singular operator in a sampled slice")
+    x = np.zeros((n + b - 1, rhs.shape[1], diag.shape[0]))
+    x[:n] = rhs[:, :, None]
+    # below[v] = x[v+1 .. v+b]
+    below = as_strided(x[1:], shape=(n - 1, b, *x.shape[1:]), strides=(x.strides[0], *x.strides))
+    for xv, mult, xb in zip(x, band[:, :b, None], below):
+        xb -= mult * xv
+    x[:n] /= band[:n, b, None]
+    for xv, mult, xb in zip(x[: n - 1][::-1], band[: n - 1, :b][::-1], below[::-1]):
+        xv -= np.einsum("jb,jrb->rb", mult, xb)
+    return x[:n].transpose(2, 0, 1)
 
 
 def _unit_columns(n: int, idx) -> np.ndarray:

@@ -78,6 +78,15 @@ class TestParsing:
         assert code == 1
         assert "--epsilons" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "inner, message",
+        [("1,2.5", "--inner expects a comma-separated list of integers"), (" , ", "--inner must list at least one value")],
+    )
+    def test_bad_integer_list(self, tmp_path, capsys, inner, message):
+        code = run(tmp_path, "martingale", "--d", "1", "--K", "4", "--W", "1", "--inner", inner)
+        assert code == 1
+        assert message in capsys.readouterr().err
+
 
 class TestCritical:
     def test_point_report_d2(self, tmp_path, capsys):
@@ -290,7 +299,7 @@ class TestStochasticCommands:
 class TestFailureExitCodes:
     def test_numeric_failure_is_exit_two(self, tmp_path, capsys):
         # an unreachable quadrature certification budget aborts with code 2
-        code = run(tmp_path, "monotonicity", "--samples", "500", "--quad-tol", "1e-12")
+        code = run(tmp_path, "monotonicity", "--vertices", "2", "--samples", "500", "--quad-tol", "1e-12")
         assert code == 2
         assert "numeric failure" in capsys.readouterr().err
 

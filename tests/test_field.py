@@ -518,10 +518,10 @@ class TestQuadratureOracle:
             quadrature_oracle(build_grid((2, 2), 1.0), lambda b: np.ones(b.shape[0]))
 
     def test_budget_error_when_tol_unreachable(self):
-        g = build_grid((3,), 0.5, boundary="wired")
+        g = build_grid((2,), 0.5, boundary="wired")
 
         def rough(b):
-            return np.sqrt(0.25 / (4.0 * b[:, 1] * b[:, 2] - 0.25))
+            return np.sqrt(0.25 / (4.0 * b[:, 0] * b[:, 1] - 0.25))
 
         with pytest.raises(QuadratureBudgetError):
             quadrature_oracle(g, rough, tol=1e-12)

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import as_strided
 from scipy.special import gammainc
 
 from rsolab import stats
@@ -328,6 +329,39 @@ def _frozen_cofactor_ratio(mats: np.ndarray, s: int, t: int) -> np.ndarray:
     return sign * minor_det(s, t) / minor_det(s, s)
 
 
+def _frozen_green_solve(g, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Frozen copy of the batch Green solve from before it factored through the
+    shared banded LDL^T kernel: per-vertex windows, forward substitution fused
+    into the elimination.  The package must reproduce it bit for bit."""
+    n_samples, n = diag.shape
+    b = g.bandwidth
+    lo, hi = g.edges[:, 0], g.edges[:, 1]
+    band = np.zeros((n, 2 * b + 1, n_samples))
+    band[:, b] = diag.T
+    band[lo, b + hi - lo] = -g.weights[:, None]
+    x = np.empty((n, rhs.shape[1], n_samples))
+    x[:] = rhs[:, :, None]
+    s0, s1, s2 = band.strides
+    for k in range(n):
+        piv = band[k, b]
+        assert piv.min() > 0
+        m = min(b, n - 1 - k)
+        if m == 0:
+            continue
+        u = band[k, b + 1 : b + 1 + m]
+        mult = u * (1.0 / piv)
+        window = as_strided(band[k + 1, b:], shape=(m, m, n_samples), strides=(s0 - s1, s1, s2))
+        window -= mult[:, None] * u[None]
+        x[k + 1 : k + 1 + m] -= mult[:, None] * x[k]
+        u[...] = mult
+    for k in range(n - 1, -1, -1):
+        x[k] /= band[k, b]
+        m = min(b, n - 1 - k)
+        if m:
+            x[k] -= np.einsum("jb,jrb->rb", band[k, b + 1 : b + 1 + m], x[k + 1 : k + 1 + m])
+    return x.transpose(2, 0, 1)
+
+
 def _spy_eval_slices(monkeypatch, runner: str) -> list:
     """Record (betas, statistic) for every slice the named stats runner evaluates."""
     seen = []
@@ -390,6 +424,23 @@ class TestGreenSolves:
             betas = np.array([[2.0, 2.0], bad])
             with pytest.raises(FactorizationError, match="singular operator"):
                 _green_solve(g, 2.0 * betas, np.ones((2, 1)))
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            build_grid((60,), 0.7, boundary="wired"),
+            build_box(2, 4, w=1.0, boundary="wired"),
+            build_box(3, 2, w=1.0, boundary="wired"),
+            remove_vertex(build_grid((2,), 0.5, boundary="wired"), 1),
+        ],
+        ids=["path", "d2_L4", "d3_L2", "one_vertex"],
+    )
+    def test_green_solve_bits_match_frozen_solve(self, g):
+        # the tolerance tests below would not see a change in the last bits,
+        # which moves the CSVs of decay, martingale and monotonicity
+        betas = sample_beta_batch(g, 30, philox_stream(g.n_vertices))
+        rhs = np.random.default_rng(g.n_vertices).uniform(0.0, 1.0, size=(g.n_vertices, 3))
+        assert np.array_equal(_green_solve(g, 2.0 * betas, rhs), _frozen_green_solve(g, 2.0 * betas, rhs))
 
     @pytest.mark.parametrize("n, removed", [(1, None), (2, None), (3, None), (3, 1)])
     def test_green_solve_matches_exact_inverse(self, n, removed):
