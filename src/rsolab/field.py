@@ -314,13 +314,14 @@ def _border_band(g: WeightedGraph, plan, n_samples: int, pivot: Callable, q=None
     u'c_k is a sum of nonnegative terms (G_{>k} is entrywise nonnegative),
     so it never cancels below zero.  After taking y the window gains vertex
     k by bordering with pivot 1/y and drops vertex k+b.  At b = 1 this is
-    the O(n) path recursion.  Returns beta, shape (n_samples, n); when an
-    array ``q`` is given, <eta, M^-1 eta> = sum_k s_k^2 / y_k, with
-    s_k = eta_k + w_k't, is added into it.
+    the O(n) path recursion.  Returns beta (n_samples, n), a view of
+    sites-first memory filled one contiguous row per vertex; when an array
+    ``q`` is given, <eta, M^-1 eta> = sum_k s_k^2 / y_k, with s_k = eta_k +
+    w_k't, is added into it.
     """
     b, nbrs, f, c, has_c = plan
     eta = g.eta.tolist()
-    beta = np.empty((n_samples, g.n_vertices))
+    beta = np.empty((g.n_vertices, n_samples))
     # samples on the last axis: every per-vertex step works on contiguous rows
     green, green_next = np.zeros((2, b, b, n_samples))
     t, t_next = np.zeros((2, b, n_samples))
@@ -334,7 +335,7 @@ def _border_band(g: WeightedGraph, plan, n_samples: int, pivot: Callable, q=None
         if has_c[k]:
             a += c[k] @ u
         y = pivot(k, a)
-        np.add(y, _forward_sum(u, nbrs[k]), out=beta[:, k])
+        np.add(y, _forward_sum(u, nbrs[k]), out=beta[k])
         ry = r / y
         np.multiply(ry[:, None], r[None], out=green_next)
         s = eta[k] + wt
@@ -347,14 +348,14 @@ def _border_band(g: WeightedGraph, plan, n_samples: int, pivot: Callable, q=None
         green, green_next = green_next, green
         t, t_next = t_next, t
     beta *= 0.5
-    return beta
+    return beta.T
 
 
 def slice_size(g: WeightedGraph) -> int:
     """Samples per slice of exact draws on g; this fixes the stream layout.
 
-    :func:`sample_beta_batch` draws, and the estimators of :mod:`rsolab.stats`
-    evaluate, in slices of this size.  With n vertices and b =
+    :func:`sample_beta_batch` draws slices of this size, and the estimators of
+    :mod:`rsolab.stats` evaluate them one at a time.  With n vertices and b =
     ``g.bandwidth``, a slice of S <= ``MAX_SLICE`` samples keeps S*n*b <=
     ``SLICE_SCALARS`` = 2^22 scalars (32 MB) unless one sample exceeds that:
     the beta block stays within it, the sampler's windows and a Green
@@ -367,7 +368,8 @@ def slice_size(g: WeightedGraph) -> int:
 def sample_beta_batch(g: WeightedGraph, n_samples: int, rng: np.random.Generator) -> np.ndarray:
     """Exact i.i.d. field samples, shape (n_samples, n_vertices).
 
-    Drawn in slices of :func:`slice_size`, one after another on ``rng``.
+    Drawn in slices of :func:`slice_size`, one after another on ``rng``, into
+    sites-first memory: the result's transpose is C-contiguous.
     """
     if g.n_vertices == 0:
         raise ValueError("empty graph")

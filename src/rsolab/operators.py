@@ -171,9 +171,9 @@ def sturm_counts_batch(diag: np.ndarray, off: np.ndarray, energies: np.ndarray) 
     the spectral estimators: one pass over sites with (B, k)-shaped pivots
     q_k = (diag_k - E) - off_{k-1}^2 / q_{k-1}, each counted when negative.
     A pivot with |q| < PIVMIN is replaced by -PIVMIN before it is counted
-    and divided by.  The sweep reads one sites-first copy of ``diag`` (and
-    of ``off**2`` when it is per sample) and updates preallocated (B, k)
-    buffers in place.
+    and divided by.  The sweep reads ``diag`` sites-first, copying it only if
+    it is not sites-first in memory already (the sampler's slices are), as it
+    does ``off**2`` when per sample, and updates (B, k) buffers in place.
     """
     diag = np.asarray(diag, dtype=float)
     energies = np.asarray(energies, dtype=float).reshape(-1)

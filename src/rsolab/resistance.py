@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -45,6 +46,7 @@ __all__ = [
 
 IDENTITY_RTOL = 1e-8
 HARMONIC_TOL = 1e-10
+_zero_box = lru_cache(partial(build_box, boundary="zero"))  # identity_check's sub-box; graphs are read-only
 
 
 class NetworkError(RuntimeError):
@@ -235,7 +237,7 @@ def identity_check(
     rhs_val = effective_resistance(net, net.center_index)
 
     inner = subbox_indices(g, half_side)
-    sub = build_box(g.d, half_side, w=f.w, boundary="zero")
+    sub = _zero_box(g.d, half_side, w=f.w)
     beta_t = tilted_field(f, s)
     m_d = operator_from_two_beta(sub, 2.0 * beta_t[inner], bc="dirichlet", scaled=False, w=f.w)
     lhs_val = float(green_column(m_d, sub.center_index)[sub.center_index])

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import groupby
+from itertools import groupby, starmap
 from operator import itemgetter
 
 import numpy as np
@@ -146,7 +146,8 @@ def _chain_slices(g: WeightedGraph, cfg: MonteCarloConfig):
     """Yield (chain, slice) pairs of exact (b, n) beta slices in chain order.
 
     Each chain draws on its own stream, in the sampler's own slices, so its
-    slices join into what one ``sample_beta_batch`` call draws.
+    slices join into what one ``sample_beta_batch`` call draws.  Each slice
+    is a fresh view of sites-first memory that nothing else holds.
     """
     size = slice_size(g)
     for chain, n_chain in enumerate(_chain_sizes(cfg.n_samples, cfg.chains)):
@@ -158,15 +159,17 @@ def _chain_slices(g: WeightedGraph, cfg: MonteCarloConfig):
 def _run_chains(g: WeightedGraph, cfg: MonteCarloConfig, eval_slice, k: int):
     """Mean and SE of a k-vector statistic; deterministic ordered reduction.
 
-    eval_slice maps a (b, n) beta slice to a (b, k) statistic array.  Slices
-    merge into their chain's moments, and chains into the total, in order.
+    eval_slice maps a (b, n) beta slice to a (b, k) statistic array and may
+    overwrite the slice: starmap drops each slice once it is evaluated, so one
+    is alive at a time.  Slices merge into their chain's moments, and chains
+    into the total, in order.
     """
     empty = (0, np.zeros(k), np.zeros(k))
     total = empty
-    for _, slices in groupby(_chain_slices(g, cfg), key=itemgetter(0)):
+    evaluated = starmap(lambda chain, block: (chain, eval_slice(block)), _chain_slices(g, cfg))
+    for _, values in groupby(evaluated, key=itemgetter(0)):
         acc = empty
-        for _, block in slices:
-            vals = eval_slice(block)
+        for _, vals in values:
             s = vals.sum(axis=0)
             centred = vals - s / vals.shape[0]
             acc = _merge_moments(acc, (vals.shape[0], s, (centred * centred).sum(axis=0)))
@@ -194,8 +197,8 @@ def _merge_moments(a, b):
 
 
 def _collect_values(g: WeightedGraph, cfg: MonteCarloConfig, eval_slice) -> np.ndarray:
-    """All per-sample scalar values, in chain order (for KS-style tests)."""
-    return np.concatenate([eval_slice(block) for _, block in _chain_slices(g, cfg)])
+    """All per-sample scalar values, in chain order (for KS-style tests); one slice alive at a time."""
+    return np.concatenate(list(starmap(lambda _, block: eval_slice(block), _chain_slices(g, cfg))))
 
 
 def batch_means(chains) -> tuple[float, float]:
@@ -270,8 +273,10 @@ def estimate_ids(
         off = np.full(n - 1, -1.0)
 
         def eval_slice(betas: np.ndarray) -> np.ndarray:
-            diag = 2.0 * betas / w + shift
-            return sturm_counts_batch(diag, off, energies) / n
+            betas *= 2.0  # the diagonal 2 beta / w + shift, formed in the slice
+            betas /= w
+            betas += shift
+            return sturm_counts_batch(betas, off, energies) / n
     else:
         if g.bandwidth > BAND_COUNT_MAX:
             g.fill_reducing_pattern  # SuperLU counts: import SciPy before the first draw

@@ -113,6 +113,33 @@ class TestPlumbing:
             want = sample_beta_batch(g, n_chain, philox_stream(cfg.seed, chain))
             assert np.concatenate(parts).tobytes() == want.tobytes()
 
+    def test_estimators_hold_one_slice(self, monkeypatch):
+        # draws are sites-first views, and the next slice is drawn only after
+        # the last one is dropped, so the traced peak is one slice plus the
+        # evaluation's small working set
+        import tracemalloc
+
+        from rsolab import field
+
+        monkeypatch.setattr(field, "SLICE_SCALARS", 1 << 18)
+        g = build_box(1, 200, w=1.0, boundary="wired")
+        size = slice_size(g)
+        assert sample_beta_batch(g, size, philox_stream(0)).T.flags.c_contiguous
+        slice_bytes = size * g.n_vertices * 8
+        cfg = MonteCarloConfig(n_samples=2 * size, seed=0)
+        runs = [
+            lambda: estimate_ids(1, 200, 1.0, "dirichlet", [0.01, 0.1, 1.0], cfg),
+            lambda: stats._collect_values(g, cfg, lambda betas: betas[:, 0].copy()),
+        ]
+        for run in runs:
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.5 * slice_bytes
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             MonteCarloConfig(n_samples=0)
