@@ -48,15 +48,10 @@ from .operators import (
     OperatorMatrix,
     ResidualError,
     assemble,
-    beta_from_u,
     count_eigenvalues_leq,
     count_eigenvalues_many,
     green_column,
     operator_from_two_beta,
-    path_sum_green,
-    resolvent_identity_residual,
-    schur_y_and_a,
-    u_field,
 )
 from .resistance import (
     GreenSurrogate,
@@ -84,7 +79,6 @@ from .stats import (
     fit_loglog_slope,
     gamma_marginal_test,
     laplace_audit,
-    localization_event_probabilities,
     martingale_check,
     monotonicity_check,
     wegner_audit,
@@ -131,11 +125,6 @@ __all__ = [
     "count_eigenvalues_leq",
     "count_eigenvalues_many",
     "green_column",
-    "u_field",
-    "beta_from_u",
-    "schur_y_and_a",
-    "path_sum_green",
-    "resolvent_identity_residual",
     # resistance
     "GreenSurrogate",
     "IdentityReport",
@@ -166,7 +155,6 @@ __all__ = [
     "bound_audit",
     "wegner_audit",
     "decay_moment_fit",
-    "localization_event_probabilities",
     "gamma_marginal_test",
     "laplace_audit",
     "martingale_check",

@@ -127,13 +127,6 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
-def _mc_config(n_samples: int, seed: int, chains: int) -> MonteCarloConfig:
-    try:
-        return MonteCarloConfig(n_samples=n_samples, seed=seed, chains=chains)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _seed_block(seed: int, chains: int) -> dict:
     return {
         "master": seed,
@@ -198,7 +191,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             return flag_value
         return file_cfg.get(name, default)
 
-    mc = _mc_config(args.samples, pick("seed", 0), pick("chains", 1))
+    mc = MonteCarloConfig(n_samples=args.samples, seed=pick("seed", 0), chains=pick("chains", 1))
     seed, chains = mc.seed, mc.chains
     burn_in = pick("burn_in", 500)
     thinning = pick("thinning", 10)
@@ -264,7 +257,7 @@ def _energy_grid(args: argparse.Namespace) -> np.ndarray:
 
 def _cmd_ids(args: argparse.Namespace) -> int:
     energies = _energy_grid(args)
-    cfg = _mc_config(args.samples, args.seed, args.chains)
+    cfg = MonteCarloConfig(n_samples=args.samples, seed=args.seed, chains=args.chains)
     curve = estimate_ids(args.d, args.half_side, args.w, args.bc, energies, cfg)
     try:
         fit = fit_loglog_slope(curve)
@@ -300,7 +293,7 @@ def _cmd_ids(args: argparse.Namespace) -> int:
 
 def _cmd_wegner(args: argparse.Namespace) -> int:
     epsilons = _parse_list(args.epsilons, "--epsilons", float)
-    cfg = _mc_config(args.samples, args.seed, args.chains)
+    cfg = MonteCarloConfig(n_samples=args.samples, seed=args.seed, chains=args.chains)
     report = wegner_audit(args.d, args.half_side, args.w, args.bc, args.energy, epsilons, cfg)
     csv_path = write_csv(
         _out_dir(args) / "wegner.csv",
@@ -317,7 +310,7 @@ def _cmd_wegner(args: argparse.Namespace) -> int:
 
 
 def _cmd_decay(args: argparse.Namespace) -> int:
-    cfg = _mc_config(args.samples, args.seed, args.chains)
+    cfg = MonteCarloConfig(n_samples=args.samples, seed=args.seed, chains=args.chains)
     fit = decay_moment_fit(args.d, args.half_side, args.w, args.kind, cfg, boundary=args.boundary)
     fitted = np.log(fit.prefactor) - fit.decay_rate * fit.distances
     cols = zip(fit.distances, fit.log_moments, fitted, fit.log_moment_std_errors)
@@ -409,11 +402,8 @@ def _cmd_resistance(args: argparse.Namespace) -> int:
 
 def _cmd_martingale(args: argparse.Namespace) -> int:
     inner = _parse_list(args.inner, "--inner", int)
-    cfg = _mc_config(args.samples, args.seed, args.chains)
-    try:
-        report = martingale_check(args.d, args.outer_half_side, inner, args.w, cfg)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    cfg = MonteCarloConfig(n_samples=args.samples, seed=args.seed, chains=args.chains)
+    report = martingale_check(args.d, args.outer_half_side, inner, args.w, cfg)
     csv_path = write_csv(
         _out_dir(args) / "martingale.csv",
         ["half_side", "psi_mean", "psi_std_error", "psi_dev_se", "bracket_mean", "bracket_std_error"],
@@ -444,7 +434,7 @@ def _cmd_monotonicity(args: argparse.Namespace) -> int:
         raise ConfigError("--source/--target out of range")
     g_low = build_grid((args.vertices,), w=args.w_low, boundary=args.boundary)
     g_high = build_grid((args.vertices,), w=args.w_high, boundary=args.boundary)
-    cfg = _mc_config(args.samples, args.seed, args.chains)
+    cfg = MonteCarloConfig(n_samples=args.samples, seed=args.seed, chains=args.chains)
     report = monotonicity_check(
         g_low, g_high, args.source, target, cfg, quadrature_tol=args.quad_tol
     )
@@ -723,12 +713,12 @@ def main(argv=None) -> int:
     except IdentityMismatchError as exc:
         print(f"audit failure: {exc}", file=sys.stderr)
         return 3
+    except _NUMERIC_ERRORS as exc:  # before ValueError: LinAlgError is one
+        print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except _NUMERIC_ERRORS as exc:
-        print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

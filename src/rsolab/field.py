@@ -12,8 +12,8 @@ and closed-form Laplace transform
     E[exp(-<lam, beta>)] = exp(-sum_edges w_ij (r_i r_j - t_i t_j)
                                - sum_i eta_i (r_i - t_i)) * prod_i t_i / r_i,
 
-with r = sqrt(t^2 + lam) and reference point t > 0 (t = 1 throughout except
-in :func:`laplace_exact`, which accepts general t).
+with r = sqrt(t^2 + lam) for any reference point t > 0; the package takes
+t = 1 throughout.
 
 Two samplers are provided:
 
@@ -151,30 +151,18 @@ def log_density(f: BetaField) -> float:
     return float(_log_density_batch(g, f.beta[None], q_eta, logdet)[0])
 
 
-def laplace_exact(g: WeightedGraph, lam, theta=None) -> float:
-    """Closed-form E[exp(-<lam, beta>)] for the field on g.
-
-    ``theta`` is the reference point of the transform identity (componentwise
-    positive, default all ones — the law the samplers target).
-    """
+def laplace_exact(g: WeightedGraph, lam) -> float:
+    """Closed-form E[exp(-<lam, beta>)] for the field on g (reference point t = 1)."""
     lam = np.asarray(lam, dtype=float).reshape(-1)
-    n = g.n_vertices
-    if lam.shape[0] != n:
+    if lam.shape[0] != g.n_vertices:
         raise ValueError("lambda length does not match the graph")
     if np.any(lam < 0):
         raise ValueError("lambda must be nonnegative")
-    if theta is None:
-        theta = np.ones(n)
-    else:
-        theta = np.asarray(theta, dtype=float).reshape(-1)
-        if theta.shape[0] != n or np.any(theta <= 0):
-            raise ValueError("theta must be positive of matching length")
-    r = np.sqrt(theta * theta + lam)
+    r = np.sqrt(1.0 + lam)
     i, j = g.edges[:, 0], g.edges[:, 1]
-    edge_term = float(np.sum(g.weights * (r[i] * r[j] - theta[i] * theta[j])))
-    eta_term = float(np.sum(g.eta * (r - theta)))
-    log_pref = float(np.sum(np.log(theta) - np.log(r)))
-    return math.exp(-edge_term - eta_term + log_pref)
+    edge_term = float(np.sum(g.weights * (r[i] * r[j] - 1.0)))
+    eta_term = float(np.sum(g.eta * (r - 1.0)))
+    return math.exp(-edge_term - eta_term - float(np.sum(np.log(r))))
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,6 @@ __all__ = [
     "bound_audit",
     "wegner_audit",
     "decay_moment_fit",
-    "localization_event_probabilities",
     "gamma_marginal_test",
     "gamma_chain_check",
     "batch_means",
@@ -466,106 +465,6 @@ def decay_moment_fit(
 
 
 # ---------------------------------------------------------------------------
-# Localization events
-# ---------------------------------------------------------------------------
-
-
-def localization_event_probabilities(
-    d: int,
-    half_side: int,
-    w: float,
-    decay_rate: float,
-    cfg: MonteCarloConfig,
-    energy: float = 0.25,
-) -> dict:
-    """Probabilities of the boundary-decay and bounded-diagonal events.
-
-    Events (all on the wired box, with L the half side and kappa the given
-    decay rate):
-      ratio_decay:          sqrt(M^{-1}(0,i)/M^{-1}(0,0)) <= e^{-kappa |i|/2}
-                            for every boundary vertex i (unscaled M);
-      diag_bounded:         (H^simple)^{-1}(0,0) <= e^{kappa L} (scaled);
-      deleted_decay:        center-deleted M^{-1}(i,j) <= e^{-1.5 kappa L}
-                            over neighbors i of the center and boundary j;
-      localized = ratio_decay AND diag_bounded.
-
-    Also audits the diagonal tail against the Gamma(1/2,1) integral bound and
-    the per-sample implication from a large simple-boundary diagonal to a
-    large Dirichlet diagonal at the given energy.
-    """
-    if not decay_rate > 0:
-        raise ValueError("decay_rate must be positive")
-    g = build_box(d, half_side, w=w, boundary="wired")
-    n = g.n_vertices
-    center = g.center_index
-    boundary_idx = np.nonzero(np.max(np.abs(g.coords), axis=1) == half_side)[0]
-    indptr, nbrs, _ = g.neighbor_lists
-    center_nbrs = nbrs[indptr[center] : indptr[center + 1]]
-    keep = np.ones(n, dtype=bool)
-    keep[center] = False
-    del_boundary = np.searchsorted(np.nonzero(keep)[0], boundary_idx[boundary_idx != center])
-    del_nbrs = np.searchsorted(np.nonzero(keep)[0], center_nbrs)
-    g_del = remove_vertex(g, center)
-    center_col = _unit_columns(n, center)
-    nbr_cols = _unit_columns(n - 1, del_nbrs)
-    dirichlet_shift = w * (2 * g.d - g.degree)
-
-    ratio_thresh = np.exp(-decay_rate * np.max(np.abs(g.coords[boundary_idx]), axis=1) / 2.0)
-    diag_thresh = math.exp(decay_rate * half_side)
-    deleted_thresh = math.exp(-1.5 * decay_rate * half_side)
-
-    # every Green matrix here is symmetric, so a column solve gives the rows
-    def eval_slice(betas: np.ndarray) -> np.ndarray:
-        b = betas.shape[0]
-        gc = _green_solve(g, 2.0 * betas, center_col)[:, :, 0]
-        ratios = np.sqrt(gc[:, boundary_idx] / gc[:, center, None])
-        ev_ratio = np.all(ratios <= ratio_thresh[None, :], axis=1)
-        scaled_diag = w * gc[:, center]
-        ev_diag = scaled_diag <= diag_thresh
-
-        deleted = _green_solve(g_del, 2.0 * betas[:, keep], nbr_cols)[:, del_boundary, :]
-        ev_deleted = np.all(deleted.reshape(b, -1) <= deleted_thresh, axis=1)
-
-        # the scaled Dirichlet operator is the unscaled one over w
-        diag_d = w * _green_solve(g, 2.0 * betas + dirichlet_shift, center_col)[:, center, 0]
-
-        localized = ev_ratio & ev_diag
-        big_simple = scaled_diag > 1.0 / energy
-        big_dirichlet = diag_d > 1.0 / (2.0 * energy)
-        implication_fail = localized & big_simple & ~big_dirichlet
-        tail = scaled_diag > diag_thresh
-        return np.column_stack(
-            [ev_ratio, ev_diag, ev_deleted, localized, implication_fail, tail, localized & big_simple]
-        ).astype(float)
-
-    mean, se, n_tot = _run_chains(g, cfg, eval_slice, 7)
-    from scipy.special import gammainc
-
-    tail_bound = float(gammainc(0.5, w * math.exp(-decay_rate * half_side) / 2.0))
-    names = [
-        "ratio_decay",
-        "diag_bounded",
-        "deleted_decay",
-        "localized",
-        "implication_failure",
-        "diag_tail",
-        "localized_and_big_diag",
-    ]
-    out = {
-        name: EstimateWithCI(float(m), float(s), n_tot, cfg.seed)
-        for name, m, s in zip(names, mean, se)
-    }
-    return {
-        "events": out,
-        "tail_bound": tail_bound,
-        "tail_ok": bool(out["diag_tail"].value <= tail_bound + SE_SLACK * out["diag_tail"].std_error),
-        "energy": energy,
-        "decay_rate": decay_rate,
-        "half_side": half_side,
-    }
-
-
-# ---------------------------------------------------------------------------
 # Distributional audits
 # ---------------------------------------------------------------------------
 
@@ -691,7 +590,8 @@ def martingale_check(
         subs.append((idx, sub, rhs, edge_end))
 
     k = len(inner)
-    n_pairs = k * (k - 1) // 2
+    first, second = np.triu_indices(k, 1)
+    n_pairs = first.size
 
     def eval_slice(betas: np.ndarray) -> np.ndarray:
         b = betas.shape[0]
@@ -706,12 +606,7 @@ def martingale_check(
             bracket[:, t] = psi_t * psi_t - g00_t
             if edge_end is not None:
                 ward_pair[:, t] = np.cosh(np.log(psi_t) - np.log(sol[:, edge_end, 0])) ** 2
-        diffs = np.empty((b, n_pairs))
-        p = 0
-        for i in range(k):
-            for j in range(i + 1, k):
-                diffs[:, p] = bracket[:, i] - bracket[:, j]
-                p += 1
+        diffs = bracket[:, first] - bracket[:, second]
         ward_single = np.cosh(np.log(psi)) ** 2
         return np.concatenate([psi, bracket, diffs, ward_pair, ward_single], axis=1)
 
@@ -737,19 +632,16 @@ def martingale_check(
             }
         )
     pairs = []
-    p = 0
-    for i in range(k):
-        for j in range(i + 1, k):
-            diff, dse = float(mean[2 * k + p]), float(se[2 * k + p])
-            pairs.append(
-                {
-                    "half_sides": (inner[i], inner[j]),
-                    "difference": diff,
-                    "std_error": dse,
-                    "ok": bool(abs(diff) <= SE_SLACK * dse),
-                }
-            )
-            p += 1
+    for p, (i, j) in enumerate(zip(first, second)):
+        diff, dse = float(mean[2 * k + p]), float(se[2 * k + p])
+        pairs.append(
+            {
+                "half_sides": (inner[i], inner[j]),
+                "difference": diff,
+                "std_error": dse,
+                "ok": bool(abs(diff) <= SE_SLACK * dse),
+            }
+        )
     return {
         "rows": rows,
         "bracket_pairs": pairs,

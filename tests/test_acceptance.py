@@ -26,7 +26,6 @@ from rsolab.operators import (
     count_eigenvalues_leq,
     green_column,
     operator_from_two_beta,
-    path_sum_green,
 )
 from rsolab.resistance import identity_check
 from rsolab.rig import rig_cdf, rig_pdf, sample_rig
@@ -42,6 +41,8 @@ from rsolab.stats import (
     monotonicity_check,
     wegner_audit,
 )
+
+from oracles import path_sum_green
 
 
 def _verdict(cid: str, ok: bool, detail: str) -> None:

@@ -303,6 +303,17 @@ class TestFailureExitCodes:
         assert code == 2
         assert "numeric failure" in capsys.readouterr().err
 
+    def test_linalg_error_is_numeric_failure(self, tmp_path, capsys, monkeypatch):
+        # LinAlgError subclasses ValueError, so main must catch it as numeric
+        # before its ValueError handler turns it into a configuration error
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(rsolab.cli, "estimate_ids", fail)
+        code = run(tmp_path, "ids", "--d", "1", "--L", "3", "--W", "1.0", "--samples", "10")
+        assert code == 2
+        assert "numeric failure: LinAlgError" in capsys.readouterr().err
+
     def test_audit_failure_is_exit_three(self, tmp_path, capsys):
         code = run(tmp_path, "resistance", "--d", "1", "--K", "5", "--L", "2",
                    "--W", "1.0", "--samples", "3", "--tol", "1e-18")

@@ -159,11 +159,6 @@ class TestLaplaceExact:
         quad_val = quadrature_oracle(g, lambda b: np.exp(-(b @ lam)), tol=1e-9)
         assert abs(laplace_exact(g, lam) - quad_val) < 1e-8
 
-    def test_theta_mass_is_one(self):
-        g = two_path(1.0, (0.5, 0.0))
-        for theta in ([1.0, 1.0], [2.0, 0.5], [0.3, 0.3]):
-            assert abs(laplace_exact(g, [0.0, 0.0], theta=theta) - 1.0) < 1e-12
-
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
             laplace_exact(two_path(1.0), [0.1])

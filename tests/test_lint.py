@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
@@ -149,3 +150,31 @@ def test_traced_layer_names_resolve():
     names = _patched_names(ast.parse(traced.read_text(), filename=str(traced)))
     assert names
     assert _unresolved(names) == []
+
+
+def _called_names(trees: list[ast.Module]) -> dict[str, set[str]]:
+    """For each name, the functions whose bodies refer to it."""
+    callers: dict[str, set[str]] = {}
+    for tree in trees:
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(func):
+                    if isinstance(node, ast.Name):
+                        callers.setdefault(node.id, set()).add(func.name)
+    return callers
+
+
+def test_every_stats_estimator_has_a_caller():
+    # an estimator that no command or other function runs is code the lab
+    # carries without using; tests alone do not count as a caller
+    planted = ast.parse("def f():\n    return g()\ndef g():\n    return g()\ndef h():\n    pass\n")
+    callers = _called_names([planted])
+    assert callers["g"] == {"f", "g"} and "h" not in callers
+    stats = importlib.import_module("rsolab.stats")
+    callers = _called_names([ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))])
+    uncalled = [
+        name
+        for name in stats.__all__
+        if inspect.isfunction(getattr(stats, name)) and not callers.get(name, set()) - {name}
+    ]
+    assert uncalled == []

@@ -3,6 +3,8 @@
 The eigvalsh-based count is the oracle for the eigenvalue counter; assembly
 is pinned against hand-computed matrices; the walk expansion and the
 boundary-correction identity cross-check the solve-based Green function.
+The log-field, Schur, walk-expansion and boundary-identity oracles live in
+``tests/oracles.py``, since no command runs them.
 """
 
 import math
@@ -22,20 +24,17 @@ from rsolab.operators import (
     FactorizationError,
     OperatorMatrix,
     assemble,
-    beta_from_u,
     count_eigenvalues_leq,
     count_eigenvalues_many,
     green_column,
     operator_from_two_beta,
-    path_sum_green,
-    resolvent_identity_residual,
-    schur_y_and_a,
     sturm_counts_batch,
-    u_field,
     _band_counts,
     _superlu_counts,
 )
 from rsolab.rng import philox_stream
+
+from oracles import beta_from_u, path_sum_green, resolvent_identity_residual, schur_y_and_a, u_field
 
 
 def count_oracle(dense: np.ndarray, energy: float) -> int:

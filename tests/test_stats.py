@@ -13,7 +13,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import as_strided
-from scipy.special import gammainc
 
 from rsolab import stats
 from rsolab.field import _pivots_to_field, sample_beta_batch, slice_size
@@ -36,7 +35,6 @@ from rsolab.stats import (
     fit_loglog_slope,
     gamma_marginal_test,
     laplace_audit,
-    localization_event_probabilities,
     martingale_check,
     monotonicity_check,
     wegner_audit,
@@ -315,11 +313,9 @@ class TestDecayFit:
         assert abs(a.log_moments[1] - b.log_moments[1]) <= 4.0 * combined
 
 
-def _dense_stack(g, betas: np.ndarray, bc: str = "simple", scaled: bool = False, w=None) -> np.ndarray:
+def _dense_stack(g, betas: np.ndarray) -> np.ndarray:
     """Dense operators of a (B, n) slice of fields, one (n, n) matrix per row."""
-    return np.array(
-        [operator_from_two_beta(g, 2.0 * beta, bc=bc, scaled=scaled, w=w).to_dense() for beta in betas]
-    )
+    return np.array([operator_from_two_beta(g, 2.0 * beta).to_dense() for beta in betas])
 
 
 def _exact_solve(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -504,61 +500,6 @@ class TestGreenSolves:
         for betas, out in seen:
             inv = np.linalg.inv(_dense_stack(g, betas))
             np.testing.assert_allclose(out, 0.5 / inv[:, 1, 1], rtol=1e-12, atol=0)
-
-    def test_localization_events_match_full_inverse(self, monkeypatch):
-        d, half_side, w, kappa, energy = 2, 2, 0.5, 0.5, 2.0
-        seen = _spy_eval_slices(monkeypatch, "_run_chains")
-        localization_event_probabilities(
-            d, half_side, w, kappa, MonteCarloConfig(n_samples=300, seed=7), energy=energy
-        )
-        g = build_box(d, half_side, w=w, boundary="wired")
-        c = g.center_index
-        bnd = np.nonzero(np.max(np.abs(g.coords), axis=1) == half_side)[0]
-        indptr, nbrs, _ = g.neighbor_lists
-        keep = np.arange(g.n_vertices) != c
-        kept = np.nonzero(keep)[0]
-        del_nbrs = np.searchsorted(kept, nbrs[indptr[c] : indptr[c + 1]])
-        del_bnd = np.searchsorted(kept, bnd)
-        ratio_thresh = np.exp(-kappa * np.max(np.abs(g.coords[bnd]), axis=1) / 2.0)
-        occurred = np.zeros(7, dtype=bool)
-        for betas, out in seen:
-            mats = _dense_stack(g, betas)
-            inv = np.linalg.inv(mats)
-            sub_inv = np.linalg.inv(mats[:, keep][:, :, keep])
-            inv_d = np.linalg.inv(_dense_stack(g, betas, bc="dirichlet", scaled=True, w=w))
-            ratio = np.sqrt(inv[:, c, bnd] / inv[:, c, c, None])
-            ev_ratio = np.all(ratio <= ratio_thresh, axis=1)
-            diag = w * inv[:, c, c]
-            ev_diag = diag <= math.exp(kappa * half_side)
-            deleted = sub_inv[:, del_nbrs][:, :, del_bnd].reshape(betas.shape[0], -1)
-            ev_deleted = np.all(deleted <= math.exp(-1.5 * kappa * half_side), axis=1)
-            localized = ev_ratio & ev_diag
-            big = diag > 1.0 / energy
-            fail = localized & big & ~(inv_d[:, c, c] > 1.0 / (2.0 * energy))
-            want = np.column_stack(
-                [ev_ratio, ev_diag, ev_deleted, localized, fail, ~ev_diag, localized & big]
-            )
-            assert np.array_equal(out, want.astype(float))
-            occurred |= want.any(axis=0)
-        # every event but the implication failure occurs in the run
-        assert occurred.tolist() == [True, True, True, True, False, True, True]
-
-
-class TestLocalizationEvents:
-    def test_small_run_consistency(self):
-        cfg = MonteCarloConfig(n_samples=400, seed=23)
-        rep = localization_event_probabilities(1, 4, 1.0, 0.25, cfg)
-        ev = rep["events"]
-        for est in ev.values():
-            assert 0.0 <= est.value <= 1.0
-        assert ev["implication_failure"].value == 0.0
-        assert ev["localized"].value <= min(ev["ratio_decay"].value, ev["diag_bounded"].value)
-        assert rep["tail_ok"]
-        assert rep["tail_bound"] == gammainc(0.5, math.exp(-0.25 * 4) / 2.0)
-
-    def test_rejects_nonpositive_rate(self):
-        with pytest.raises(ValueError):
-            localization_event_probabilities(1, 3, 1.0, 0.0, MonteCarloConfig(n_samples=10))
 
 
 class TestGammaMarginal:
