@@ -55,7 +55,6 @@ from .operators import (
 )
 from .resistance import (
     GreenSurrogate,
-    IdentityMismatchError,
     IdentityReport,
     NetworkError,
     build_network,
@@ -66,7 +65,7 @@ from .resistance import (
     nash_williams_bound,
     tilted_field,
 )
-from .rig import rig_cdf, rig_logpdf, rig_mode, rig_pdf, sample_rig
+from .rig import rig_cdf, rig_logpdf, rig_pdf, sample_rig
 from .rng import chain_seed_key, philox_stream
 from .stats import (
     DecayFit,
@@ -100,7 +99,6 @@ __all__ = [
     "rig_logpdf",
     "rig_pdf",
     "rig_cdf",
-    "rig_mode",
     "sample_rig",
     # rng
     "philox_stream",
@@ -129,7 +127,6 @@ __all__ = [
     "GreenSurrogate",
     "IdentityReport",
     "NetworkError",
-    "IdentityMismatchError",
     "build_surrogate",
     "tilted_field",
     "harmonic_residual",

@@ -158,7 +158,7 @@ def critical_report(d: int) -> CriticalReport:
     )
 
 
-def comparison_scan(d_min: int = 2, d_max: int = 10, fd_step: float = 1e-7) -> dict:
+def comparison_scan(d_min: int = 2, d_max: int = 10) -> dict:
     """Scan f(d) = F(w_c'(d), d) and certify the comparison machinery.
 
     Checks that f is increasing over the range with f(d) >= 2.9 (so the
@@ -176,7 +176,7 @@ def comparison_scan(d_min: int = 2, d_max: int = 10, fd_step: float = 1e-7) -> d
     max_rel_err = 0.0
     for d in (d_min, min(d_min + 1, d_max)):
         w = fractional_moment_critical_w(d)
-        h = fd_step * w
+        h = 1e-7 * w
         fd_w = (branching_factor(w + h, d) - branching_factor(w - h, d)) / (2 * h)
         an_w = branching_factor_dw(w, d)
         max_rel_err = max(max_rel_err, abs(fd_w - an_w) / abs(an_w))

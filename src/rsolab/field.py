@@ -440,18 +440,12 @@ def _eval_grid(
         beta, q_eta = _pivots_to_field(g, y)
         log_piv = 2.0 * np.sum(np.stack([log_nodes[i] for i in idx], axis=1), axis=1)
         logrho = _log_density_batch(g, beta, q_eta, log_piv)
-        vals = _call_integrand(integrand, beta)
+        vals = np.asarray(integrand(beta), dtype=float)
+        if vals.shape != (beta.shape[0],):
+            raise ValueError(f"integrand returned shape {vals.shape} on {beta.shape[0]} fields")
         # d beta = 2^{-n} dy and dy = prod(2 s_i) ds  =>  d beta = prod(s_i) ds
         total += float(np.sum(vals * np.exp(logrho) * np.prod(s, axis=1) * wq))
     return total
-
-
-def _call_integrand(integrand: Callable, beta: np.ndarray) -> np.ndarray:
-    """integrand on an (M, n) beta array, row by row if its result is not (M,)."""
-    vals = np.asarray(integrand(beta), dtype=float)
-    if vals.shape == (beta.shape[0],):
-        return vals
-    return np.apply_along_axis(lambda row: float(integrand(row)), 1, beta)
 
 
 def quadrature_oracle(
@@ -461,9 +455,8 @@ def quadrature_oracle(
 ) -> float:
     """Integrate integrand(beta) * density over the support, |V| <= 3.
 
-    ``integrand`` is ideally vectorized over an (M, n) beta array returning
-    (M,); when its result on that array has another shape, as a scalar
-    callable's does, it is called again row by row.  Its exceptions
+    ``integrand`` is vectorized: it maps an (M, n) beta array to (M,)
+    values, and any other result shape raises ValueError.  Its exceptions
     propagate.  Adaptive in the sense of panelized Gauss-Legendre at two
     orders: if the refinement changes the value by more than ``tol``
     (absolute), the budget is deemed insufficient and

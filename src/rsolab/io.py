@@ -94,8 +94,6 @@ def json_ready(obj):
         return optional_infinite(None) if obj == math.inf else float(obj)
     if obj is None or isinstance(obj, str):
         return obj
-    if isinstance(obj, Path):
-        return str(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__} into a run summary")
 
 

@@ -42,6 +42,9 @@ __all__ = [
     "green_column",
 ]
 
+#: Boundary conditions of the assembled operator, named in the module docstring.
+BOUNDARY_CONDITIONS = ("simple", "dirichlet")
+
 #: Residual guarantee for Green solves (infinity norm, after one refinement).
 GREEN_RESIDUAL_TOL = 1e-10
 
@@ -114,9 +117,18 @@ class OperatorMatrix:
 def _checked_bc(bc: str) -> str:
     """The boundary condition lower-cased; raises ValueError if unknown."""
     bc = bc.lower()
-    if bc not in ("simple", "dirichlet"):
+    if bc not in BOUNDARY_CONDITIONS:
         raise ValueError(f"unknown boundary condition {bc!r}")
     return bc
+
+
+def _boundary_shift(graph: WeightedGraph, bc: str) -> float | np.ndarray:
+    """Diagonal shift per unit coupling that the checked bc adds: 0.0, or 2d - n_i."""
+    if bc == "simple":
+        return 0.0
+    if graph.d is None:
+        raise ValueError(f"{bc} correction needs lattice metadata (ambient d)")
+    return (2 * graph.d - graph.degree).astype(float)
 
 
 def operator_from_two_beta(
@@ -134,12 +146,10 @@ def operator_from_two_beta(
     if w is None:
         w = graph.uniform_weight
     diag = two_beta.astype(float).copy()
-    if bc == "dirichlet":
-        if graph.d is None:
-            raise ValueError("dirichlet correction needs lattice metadata (ambient d)")
+    if bc != "simple":
         if w is None:
-            raise ValueError("dirichlet correction needs a uniform edge weight")
-        diag += w * (2 * graph.d - graph.degree)
+            raise ValueError(f"{bc} correction needs a uniform edge weight")
+        diag += w * _boundary_shift(graph, bc)
     offdiag = -graph.weights
     if scaled:
         if w is None:
@@ -160,23 +170,22 @@ def assemble(f: BetaField, bc: str = "simple", scaled: bool = False) -> Operator
 
 
 def sturm_counts_batch(diag: np.ndarray, off: np.ndarray, energies: np.ndarray) -> np.ndarray:
-    """Vectorized Sturm counts: diag (B, n), off (n-1,) or (B, n-1), energies (k,).
+    """Vectorized Sturm counts: diag (B, n), off (n-1,) shared by the batch, energies (k,).
 
     Returns an integer array (B, k).  This is the throughput engine behind
     the spectral estimators: one pass over sites with (B, k)-shaped pivots
     q_k = (diag_k - E) - off_{k-1}^2 / q_{k-1}, each counted when negative.
     A pivot with |q| < PIVMIN is replaced by -PIVMIN before it is counted
     and divided by.  The sweep reads ``diag`` sites-first, copying it only if
-    it is not sites-first in memory already (the sampler's slices are), as it
-    does ``off**2`` when per sample, and updates (B, k) buffers in place.
+    it is not sites-first in memory already (the sampler's slices are), and
+    updates (B, k) buffers in place.
     """
     diag = np.asarray(diag, dtype=float)
     energies = np.asarray(energies, dtype=float).reshape(-1)
     off = np.asarray(off, dtype=float)
     b, n = diag.shape
     sites = np.ascontiguousarray(diag.T)[:, :, None]
-    # shared off: one scalar per site; per sample: a (B, 1) column per site
-    off2 = off * off if off.ndim == 1 else np.ascontiguousarray((off * off).T)[:, :, None]
+    off2 = off * off
     q, work = np.empty((2, b, energies.size))
     neg = np.empty(q.shape, dtype=bool)
     counts = np.zeros(q.shape, dtype=np.int64)

@@ -22,7 +22,6 @@ __all__ = [
     "rig_logpdf",
     "rig_pdf",
     "rig_cdf",
-    "rig_mode",
     "sample_rig",
 ]
 
@@ -93,13 +92,6 @@ def rig_cdf(a, y):
     main = ndtr((yy - aa) / r)
     tail = np.exp(2.0 * aa + log_ndtr(-(yy + aa) / r))
     out[pos] = np.clip(main - tail, 0.0, 1.0)
-    return out if out.ndim else float(out)
-
-
-def rig_mode(a):
-    """Mode of rho_a: the positive root of y^2 + y - a^2 = 0."""
-    a = np.asarray(a, dtype=float)
-    out = 0.5 * (-1.0 + np.sqrt(1.0 + 4.0 * a * a))
     return out if out.ndim else float(out)
 
 

@@ -31,6 +31,7 @@ from .graphs import WeightedGraph, build_box, remove_vertex, subbox_indices
 from .operators import (
     BAND_COUNT_MAX,
     FactorizationError,
+    _boundary_shift,
     _checked_bc,
     _green_solve,
     _unit_columns,
@@ -268,7 +269,7 @@ def estimate_ids(
     k = energies.size
 
     if g.is_path:
-        shift = (2 * g.d - g.degree).astype(float) if bc == "dirichlet" else 0.0
+        shift = _boundary_shift(g, bc)
         off = np.full(n - 1, -1.0)
 
         def eval_slice(betas: np.ndarray) -> np.ndarray:
@@ -306,14 +307,10 @@ def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(coef[0]), float(coef[1]), 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
 
 
-def fit_loglog_slope(curve: IdsCurve, e_min: float | None = None, e_max: float | None = None) -> dict:
-    """Least-squares slope of log(estimate) against log(energy)."""
+def fit_loglog_slope(curve: IdsCurve) -> dict:
+    """Least-squares slope of log(estimate) against log(energy) over the positive estimates."""
     v = curve.values()
     keep = v > 0
-    if e_min is not None:
-        keep &= curve.energies >= e_min
-    if e_max is not None:
-        keep &= curve.energies <= e_max
     if keep.sum() < 2:
         raise ValueError("need at least two positive points to fit a slope")
     slope, intercept, r2 = _line_fit(np.log(curve.energies[keep]), np.log(v[keep]))
@@ -681,11 +678,8 @@ def monotonicity_check(
     results, quad = {}, {}
     for name, g in (("low", g_low), ("high", g_high)):
         stat = partial(_green_ratio, g, s=source, t=target)
-        vals = _collect_values(g, cfg, stat)
-        n = vals.size
-        results[name] = EstimateWithCI(
-            float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n)), n, cfg.seed
-        )
+        mean, se, n = _run_chains(g, cfg, lambda betas: stat(betas)[:, None], 1)
+        results[name] = EstimateWithCI(float(mean[0]), float(se[0]), n, cfg.seed)
         if g.n_vertices <= 3:
             quad[name] = quadrature_oracle(g, stat, tol=quadrature_tol / 10.0)
 

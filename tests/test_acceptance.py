@@ -172,7 +172,7 @@ def test_c07_resistance_identity():
         worst_rel = worst_harm = 0.0
         for _ in range(100):
             f = exact_field(g, rng)
-            rep = identity_check(f, small, tol=1e-8)
+            rep = identity_check(f, small)
             worst_rel = max(worst_rel, rep.rel_err)
             worst_harm = max(worst_harm, rep.harmonic_residual)
         ok = ok and worst_rel <= 1e-8 and worst_harm <= 1e-10

@@ -471,6 +471,15 @@ def test_scipy_loads_only_where_a_command_computes_with_it(tmp_path):
     assert seen == {name: [0, []] for name in ("import", "ids", "wegner", "monotonicity", "sample")}
 
 
+def test_one_sample_monotonicity_writes_its_summary(tmp_path, capsys):
+    # one sample has a zero standard error, so the Monte-Carlo side cannot
+    # match the quadrature: an audit failure, with its summary written
+    code = run(tmp_path, "monotonicity", "--vertices", "2", "--samples", "1")
+    assert code == 3
+    capsys.readouterr()
+    assert load_summary(tmp_path, "monotonicity")["results"]["low"]["std_error"] == 0.0
+
+
 def test_readme_library_example_runs(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     blocks = readme.split("```python\n")[1:]

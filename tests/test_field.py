@@ -521,10 +521,11 @@ class TestQuadratureOracle:
         with pytest.raises(QuadratureBudgetError):
             quadrature_oracle(g, rough, tol=1e-12)
 
-    def test_scalar_integrand_accepted(self):
-        g = single_vertex(0.5)
-        mass = quadrature_oracle(g, lambda b: 1.0, tol=1e-8)
-        assert abs(mass - 1.0) < 1e-8
+    def test_scalar_integrand_refused(self):
+        # the integrand is called once per chunk of grid nodes, so it must
+        # return one value per row of its (M, n) beta array
+        with pytest.raises(ValueError, match="integrand returned shape"):
+            quadrature_oracle(single_vertex(0.5), lambda b: 1.0, tol=1e-8)
 
 
 def test_exact_field_wrapper():

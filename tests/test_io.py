@@ -3,7 +3,6 @@
 import dataclasses
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,7 +78,6 @@ class TestJsonReady:
             "num": np.float64(0.25),
             "count": np.int32(4),
             "flag": np.bool_(False),
-            "path": Path("out/dir"),
             "nothing": None,
         }
         got = json_ready(obj)
@@ -89,7 +87,6 @@ class TestJsonReady:
             "num": 0.25,
             "count": 4,
             "flag": False,
-            "path": "out/dir",
             "nothing": None,
         }
         json.dumps(got)  # fully serializable

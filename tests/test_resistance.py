@@ -16,7 +16,6 @@ from rsolab.operators import operator_from_two_beta
 from rsolab.resistance import (
     HARMONIC_TOL,
     IDENTITY_RTOL,
-    IdentityMismatchError,
     NetworkError,
     build_network,
     build_surrogate,
@@ -205,18 +204,6 @@ class TestIdentity:
         assert rep.lhs > 0 and rep.rhs > 0
         assert rep.rel_err <= IDENTITY_RTOL
         assert rep.harmonic_residual <= HARMONIC_TOL
-
-    def test_check_false_never_raises(self):
-        g = build_box(1, 4, w=1.0, boundary="wired")
-        f = exact_field(g, philox_stream(14))
-        rep = identity_check(f, 2, tol=-1.0, check=False)
-        assert rep.rel_err >= 0
-
-    def test_mismatch_error_on_impossible_tolerance(self):
-        g = build_box(1, 4, w=1.0, boundary="wired")
-        f = exact_field(g, philox_stream(15))
-        with pytest.raises(IdentityMismatchError):
-            identity_check(f, 2, tol=-1.0)
 
     def test_needs_box_metadata(self):
         # a hand path without lattice metadata cannot run the check

@@ -15,7 +15,7 @@ from scipy.integrate import quad
 from scipy.special import gammainc
 from scipy.stats import kstest
 
-from rsolab.rig import TINY_A, rig_cdf, rig_logpdf, rig_mode, rig_pdf, sample_rig
+from rsolab.rig import TINY_A, rig_cdf, rig_logpdf, rig_pdf, sample_rig
 from rsolab.rng import philox_stream
 
 A_GRID = (0.0, 0.1, 1.0, 10.0)
@@ -132,20 +132,6 @@ class TestCdf:
         assert rig_cdf(1.0, 0.0) == 0.0
         assert rig_cdf(1.0, -3.0) == 0.0
         assert abs(rig_cdf(1.0, 1e6) - 1.0) < 1e-12
-
-
-class TestMode:
-    @pytest.mark.parametrize("a", (0.0, 0.3, 1.0, 7.0))
-    def test_stationary_point_of_density(self, a):
-        m = rig_mode(a)
-        if a == 0.0:
-            assert m == 0.0
-            return
-        h = 1e-6 * max(m, 1.0)
-        assert rig_logpdf(a, m) >= rig_logpdf(a, m - h)
-        assert rig_logpdf(a, m) >= rig_logpdf(a, m + h)
-        # the mode solves y^2 + y = a^2
-        assert abs(m * m + m - a * a) < 1e-9 * max(1.0, a * a)
 
 
 class TestSampler:

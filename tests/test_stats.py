@@ -231,14 +231,6 @@ class TestSlopeFit:
         assert fit["r_squared"] > 1 - 1e-12
         assert fit["n_points"] == 10
 
-    def test_energy_window(self):
-        e = np.geomspace(1e-3, 1.0, 7)
-        v = e**0.5
-        v[-1] = 5.0  # corrupt the last point, then exclude it via e_max
-        fit = fit_loglog_slope(synthetic_curve(e, v, np.zeros(7)), e_max=0.5)
-        assert abs(fit["slope"] - 0.5) < 1e-12
-        assert fit["n_points"] == 6
-
     def test_needs_two_positive_points(self):
         e = np.array([0.1, 0.2, 0.4])
         with pytest.raises(ValueError):
@@ -555,6 +547,28 @@ class TestLaplaceAudit:
         g = build_grid((2,), 1.0)
         with pytest.raises(ValueError):
             laplace_audit(g, [[0.1, 0.2, 0.3]], MonteCarloConfig(n_samples=10))
+
+    @pytest.mark.parametrize("d,half_side,b,seed", [(2, 4, 9, 71), (3, 2, 25, 72)])
+    def test_laplace_transform_at_large_bandwidth(self, d, half_side, b, seed):
+        # the joint law of the banded sampler against the closed form on boxes
+        # whose bordering windows are b wide; the slack is the 4 SE of
+        # test_laplace_transform_match, fixed before the first run
+        g = build_box(d, half_side, w=1.0, boundary="wired")
+        assert g.bandwidth == b
+        n = g.n_vertices
+        centre = np.zeros(n)
+        centre[g.center_index] = 1.0
+        block = np.zeros(n)
+        inner = subbox_indices(g, 1)
+        block[inner] = 0.5 / inner.size
+        lams = [
+            np.full(n, 0.25 / n),
+            centre,
+            np.random.default_rng(7).uniform(0.0, 0.5 / n, n),
+            block,
+        ]
+        rep = laplace_audit(g, lams, MonteCarloConfig(n_samples=20_000, seed=seed))
+        assert max(row["dev_se"] for row in rep["rows"]) <= 4.0
 
 
 class TestMartingale:
