@@ -288,7 +288,34 @@ def _forward_sum(rows: np.ndarray, nbrs, out=None) -> np.ndarray:
     return out
 
 
-def _border_band(g: WeightedGraph, plan, n_samples: int, pivot: Callable, q=None) -> np.ndarray:
+class SliceWork:
+    """Flat buffers for exact draws of up to ``size`` samples on g.
+
+    A draw of m <= size samples takes a contiguous prefix of each, so its
+    beta block stays sites-first.  The estimators lend one to every slice of
+    a run; other draws get their own.  ``rig`` adds :func:`sample_rig`'s six
+    scratch rows, which only drawn pivots need.
+    """
+
+    def __init__(self, g: WeightedGraph, size: int, rig: bool = True):
+        n, b = g.n_vertices, g.bandwidth
+        self.plan, self.n = _band_plan(g), n
+        # the green and t window pairs, ubuf, the per-vertex rows wt, a, s and ry
+        self.shapes = [(2, b, b), (2, b), (b + 1,), (3,), (b,)]
+        self.beta = np.empty(n * size)
+        self.rows = np.empty(sum(math.prod(shape) for shape in self.shapes) * size)
+        self.rig = np.empty(6 * size) if rig else None
+
+    def views(self, m: int):
+        """The beta block (n, m) and the window rows of a draw of m samples."""
+        rows, start = [], 0
+        for shape in self.shapes:
+            rows.append(self.rows[start : start + math.prod(shape) * m].reshape(*shape, m))
+            start += math.prod(shape) * m
+        return self.beta[: self.n * m].reshape(self.n, m), rows
+
+
+def _border_band(g: WeightedGraph, work: SliceWork, n_samples: int, pivot: Callable, q=None):
     """Banded bordering elimination: O(b^2) work per vertex, vectorized.
 
     Vertices are eliminated in index order, so the pivots y_k = 2 beta_k -
@@ -302,31 +329,30 @@ def _border_band(g: WeightedGraph, plan, n_samples: int, pivot: Callable, q=None
     u'c_k is a sum of nonnegative terms (G_{>k} is entrywise nonnegative),
     so it never cancels below zero.  After taking y the window gains vertex
     k by bordering with pivot 1/y and drops vertex k+b.  At b = 1 this is
-    the O(n) path recursion.  Returns beta (n_samples, n), a view of
-    sites-first memory filled one contiguous row per vertex; when an array
-    ``q`` is given, <eta, M^-1 eta> = sum_k s_k^2 / y_k, with s_k = eta_k +
-    w_k't, is added into it.
+    the O(n) path recursion.  Returns beta (n_samples, n), a view of the
+    sites-first block of ``work``, filled one contiguous row per vertex;
+    when an array ``q`` is given, <eta, M^-1 eta> = sum_k s_k^2 / y_k, with
+    s_k = eta_k + w_k't, is added into it.
     """
-    b, nbrs, f, c, has_c = plan
+    b, nbrs, f, c, has_c = work.plan
     eta = g.eta.tolist()
-    beta = np.empty((g.n_vertices, n_samples))
     # samples on the last axis: every per-vertex step works on contiguous rows
-    green, green_next = np.zeros((2, b, b, n_samples))
-    t, t_next = np.zeros((2, b, n_samples))
+    beta, ((green, green_next), (t, t_next), ubuf, (wt, a, s), ry) = work.views(n_samples)
+    green.fill(0.0)
+    t.fill(0.0)
     # r = [1, u_0 .. u_{b-2}] borders the shifted window: new block = shift + r r'/y
-    ubuf = np.ones((b + 1, n_samples))
+    ubuf[0] = 1.0
     u, r = ubuf[1:], ubuf[:-1]
     for k in range(g.n_vertices - 1, -1, -1):
         _forward_sum(green, nbrs[k], out=u)
-        wt = _forward_sum(t, nbrs[k])
-        a = f[k] + wt
+        np.add(f[k], _forward_sum(t, nbrs[k], out=wt), out=a)
         if has_c[k]:
-            a += c[k] @ u
+            a += np.matmul(c[k], u, out=s)  # s is free until it is set below
         y = pivot(k, a)
-        np.add(y, _forward_sum(u, nbrs[k]), out=beta[k])
-        ry = r / y
+        np.add(y, _forward_sum(u, nbrs[k], out=beta[k]), out=beta[k])
+        np.divide(r, y, out=ry)
         np.multiply(ry[:, None], r[None], out=green_next)
-        s = eta[k] + wt
+        np.add(eta[k], wt, out=s)
         np.multiply(ry, s, out=t_next)
         if q is not None:
             q += s * t_next[0]  # t_next[0] = s / y
@@ -353,23 +379,29 @@ def slice_size(g: WeightedGraph) -> int:
     return min(MAX_SLICE, max(1, SLICE_SCALARS // (g.n_vertices * g.bandwidth)))
 
 
-def sample_beta_batch(g: WeightedGraph, n_samples: int, rng: np.random.Generator) -> np.ndarray:
+def sample_beta_batch(
+    g: WeightedGraph, n_samples: int, rng: np.random.Generator, work: SliceWork | None = None
+) -> np.ndarray:
     """Exact i.i.d. field samples, shape (n_samples, n_vertices).
 
     Drawn in slices of :func:`slice_size`, one after another on ``rng``, into
-    sites-first memory: the result's transpose is C-contiguous.
+    sites-first memory: the result's transpose is C-contiguous.  Given a
+    :class:`SliceWork` for g and at most its size in samples, the draw runs
+    in its buffers, and the result is a view that the next draw overwrites.
     """
     if g.n_vertices == 0:
         raise ValueError("empty graph")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    plan = _band_plan(g)
+    if work is not None:
+        rig = work.rig[: 6 * n_samples].reshape(6, n_samples)
+        # sample_rig is looked up in this module at every draw, so a wrapper
+        # set on rsolab.field.sample_rig (the benchmark's timers) sees every element
+        return _border_band(g, work, n_samples, lambda k, a: sample_rig(a, rng, work=rig))
     size = slice_size(g)
-    # sample_rig is looked up in this module at every draw, so a wrapper set
-    # on rsolab.field.sample_rig (the benchmark's timers) sees every element
     parts = [
-        _border_band(g, plan, min(size, n_samples - start), lambda k, a: sample_rig(a, rng))
-        for start in range(0, n_samples, size)
+        _border_band(g, SliceWork(g, m, rig=False), m, lambda k, a: sample_rig(a, rng))
+        for m in (min(size, n_samples - start) for start in range(0, n_samples, size))
     ]
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
@@ -404,7 +436,8 @@ def _pivots_to_field(g: WeightedGraph, y: np.ndarray) -> tuple[np.ndarray, np.nd
     to zero).
     """
     q = np.zeros(y.shape[0])
-    beta = _border_band(g, _band_plan(g), y.shape[0], lambda k, a: y[:, k], q)
+    m = y.shape[0]
+    beta = _border_band(g, SliceWork(g, m, rig=False), m, lambda k, a: y[:, k], q)
     return beta, q
 
 

@@ -33,15 +33,16 @@ TINY_A = 1e-150
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
-def _check_parameter(a) -> None:
-    """Raise ValueError unless a, a float or an ndarray, is finite and >= 0."""
+def _check_parameter(a) -> float:
+    """Least entry of a, a float or an ndarray (inf if empty); raises unless a is finite, >= 0."""
     # NaN fails every comparison, and propagates through min and max
     if isinstance(a, float):
-        ok = 0.0 <= a < math.inf
+        lo, hi = a, a
     else:
-        ok = a.size == 0 or (0.0 <= a.min() and a.max() < math.inf)
-    if not ok:
+        lo, hi = (a.min(), a.max()) if a.size else (math.inf, 0.0)
+    if not (0.0 <= lo and hi < math.inf):
         raise ValueError("parameter a must be finite and nonnegative")
+    return lo
 
 
 def _check_point(y) -> None:
@@ -95,7 +96,7 @@ def rig_cdf(a, y):
     return out if out.ndim else float(out)
 
 
-def sample_rig(a, rng: np.random.Generator, size=None):
+def sample_rig(a, rng: np.random.Generator, size=None, work=None):
     """Exact draw(s) from rho_a; no accept-reject loop, fixed stream cadence.
 
     Draws X from the inverse-Gaussian law with mean mu = 1/a and shape 1 by
@@ -112,7 +113,10 @@ def sample_rig(a, rng: np.random.Generator, size=None):
     every element through one in-place sequence with a clamped to TINY_A
     (which keeps 1/a and mu^2 finite), then writes the squared normal over
     the entries with a < TINY_A; it returns the scalar branch's values bit
-    for bit.
+    for bit.  Both clamp passes are skipped when no entry is below TINY_A.
+    ``work``, a float64 array of shape (6, *shape), lends its rows to the
+    array branch, and the result is then one of them; without it the draw
+    allocates its own.
     """
     if size is None and (isinstance(a, float) or np.ndim(a) == 0):
         # one draw per Gibbs site update: Python floats beat 0-d arrays
@@ -130,18 +134,18 @@ def sample_rig(a, rng: np.random.Generator, size=None):
         return a * a * (big if u <= mu / (mu + small) else small)
 
     a = np.asarray(a, dtype=float)
-    _check_parameter(a)
+    a_min = _check_parameter(a)
     if size is None:
         shape = a.shape
     else:
         shape = (size,) if np.isscalar(size) else tuple(size)
         shape = np.broadcast_shapes(a.shape, shape)
-    z = rng.standard_normal(shape)
-    u = rng.random(shape)
+    z, u, mu, t, big, root = (np.empty(shape) for _ in range(6)) if work is None else work
+    rng.standard_normal(out=z)
+    rng.random(out=u)
     np.multiply(z, z, out=z)
-    # the scalar branch's formulas and operand order, in place on 4 buffers
-    a_pos = np.maximum(a, TINY_A)
-    mu, t, big, root = (np.empty(shape) for _ in range(4))
+    # the scalar branch's formulas and operand order, in place on the six rows
+    a_pos = a if a_min >= TINY_A else np.maximum(a, TINY_A)
     np.divide(1.0, a_pos, out=mu)
     np.multiply(mu, z, out=t)
     np.sqrt(np.add(4.0, t, out=big), out=big)
@@ -153,5 +157,6 @@ def sample_rig(a, rng: np.random.Generator, size=None):
     ratio = np.divide(mu, np.add(mu, small, out=root), out=root)
     np.copyto(big, small, where=u > ratio)
     np.multiply(np.multiply(a_pos, a_pos, out=mu), big, out=big)
-    np.copyto(big, z, where=a < TINY_A)
+    if a_min < TINY_A:
+        np.copyto(big, z, where=a < TINY_A)
     return big

@@ -26,7 +26,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .field import laplace_exact, sample_beta_batch, slice_size
+from .field import SliceWork, laplace_exact, sample_beta_batch, slice_size
 from .graphs import WeightedGraph, build_box, remove_vertex, subbox_indices
 from .operators import (
     BAND_COUNT_MAX,
@@ -146,23 +146,26 @@ def _chain_slices(g: WeightedGraph, cfg: MonteCarloConfig):
     """Yield (chain, slice) pairs of exact (b, n) beta slices in chain order.
 
     Each chain draws on its own stream, in the sampler's own slices, so its
-    slices join into what one ``sample_beta_batch`` call draws.  Each slice
-    is a fresh view of sites-first memory that nothing else holds.
+    slices join into what one ``sample_beta_batch`` call draws.  Every slice
+    is a sites-first view of one :class:`~rsolab.field.SliceWork`, which the
+    next slice overwrites and which goes when the generator does.
     """
     size = slice_size(g)
-    for chain, n_chain in enumerate(_chain_sizes(cfg.n_samples, cfg.chains)):
+    sizes = _chain_sizes(cfg.n_samples, cfg.chains)
+    work = SliceWork(g, min(size, max(sizes)))
+    for chain, n_chain in enumerate(sizes):
         rng = philox_stream(cfg.seed, chain)
         for done in range(0, n_chain, size):
-            yield chain, sample_beta_batch(g, min(size, n_chain - done), rng)
+            yield chain, sample_beta_batch(g, min(size, n_chain - done), rng, work=work)
 
 
 def _run_chains(g: WeightedGraph, cfg: MonteCarloConfig, eval_slice, k: int):
     """Mean and SE of a k-vector statistic; deterministic ordered reduction.
 
-    eval_slice maps a (b, n) beta slice to a (b, k) statistic array and may
-    overwrite the slice: starmap drops each slice once it is evaluated, so one
-    is alive at a time.  Slices merge into their chain's moments, and chains
-    into the total, in order.
+    eval_slice maps a (b, n) beta slice to a (b, k) statistic array that does
+    not alias it, and may overwrite the slice: starmap evaluates each slice
+    before the next one is drawn into the same buffers.  Slices merge into
+    their chain's moments, and chains into the total, in order.
     """
     empty = (0, np.zeros(k), np.zeros(k))
     total = empty
@@ -247,6 +250,32 @@ def _green_ratio(g: WeightedGraph, betas: np.ndarray, s: int, t: int) -> np.ndar
 # ---------------------------------------------------------------------------
 
 
+def _ids_counter(g: WeightedGraph, w: float, bc: str, energies: np.ndarray):
+    """Slice evaluator: each field's eigenvalue counts of H^bc at the sorted energies, over n."""
+    n = g.n_vertices
+    if g.is_path:
+        shift = _boundary_shift(g, bc)
+        off = np.full(n - 1, -1.0)
+
+        def eval_slice(betas: np.ndarray) -> np.ndarray:
+            betas *= 2.0  # the diagonal 2 beta / w + shift, formed in the slice
+            betas /= w
+            betas += shift
+            return sturm_counts_batch(betas, off, energies) / n
+    else:
+        if g.bandwidth > BAND_COUNT_MAX:
+            g.fill_reducing_pattern  # SuperLU counts: import SciPy before the first draw
+
+        def eval_slice(betas: np.ndarray) -> np.ndarray:
+            out = np.empty((betas.shape[0], energies.size))
+            for i, beta in enumerate(betas):
+                m = operator_from_two_beta(g, 2.0 * beta, bc=bc, scaled=True, w=w)
+                out[i] = count_eigenvalues_many(m, energies) / n
+            return out
+
+    return eval_slice
+
+
 def estimate_ids(
     d: int,
     half_side: int,
@@ -265,30 +294,7 @@ def estimate_ids(
     if energies.size == 0:
         raise ValueError("empty energy grid")
     g = build_box(d, half_side, w=w, boundary="wired")
-    n = g.n_vertices
-    k = energies.size
-
-    if g.is_path:
-        shift = _boundary_shift(g, bc)
-        off = np.full(n - 1, -1.0)
-
-        def eval_slice(betas: np.ndarray) -> np.ndarray:
-            betas *= 2.0  # the diagonal 2 beta / w + shift, formed in the slice
-            betas /= w
-            betas += shift
-            return sturm_counts_batch(betas, off, energies) / n
-    else:
-        if g.bandwidth > BAND_COUNT_MAX:
-            g.fill_reducing_pattern  # SuperLU counts: import SciPy before the first draw
-
-        def eval_slice(betas: np.ndarray) -> np.ndarray:
-            out = np.empty((betas.shape[0], k))
-            for i, beta in enumerate(betas):
-                m = operator_from_two_beta(g, 2.0 * beta, bc=bc, scaled=True, w=w)
-                out[i] = count_eigenvalues_many(m, energies) / n
-            return out
-
-    mean, se, n_tot = _run_chains(g, cfg, eval_slice, k)
+    mean, se, n_tot = _run_chains(g, cfg, _ids_counter(g, w, bc, energies), energies.size)
     ests = tuple(
         EstimateWithCI(value=float(m), std_error=float(s), n_samples=n_tot, seed=cfg.seed)
         for m, s in zip(mean, se)
@@ -374,37 +380,40 @@ def wegner_audit(
     Also reports the increment/eps ratio (the Lipschitz regime's constant is
     not known in closed form, so the ratio is informational).
     """
+    bc = _checked_bc(bc)
     epsilons = np.asarray(epsilons, dtype=float).reshape(-1)
-    if np.any(epsilons <= 0):
-        raise ValueError("epsilons must be positive")
+    if epsilons.size == 0 or np.any(epsilons <= 0):
+        raise ValueError("epsilons must be a nonempty list of positive values")
+    k = epsilons.size
     grid = np.concatenate([energy - epsilons, energy + epsilons])
     order = np.argsort(grid, kind="stable")
     inverse = np.argsort(order, kind="stable")
-    curve = estimate_ids(d, half_side, w, bc, grid[order], cfg)
+    g = build_box(d, half_side, w=w, boundary="wired")
+    count = _ids_counter(g, w, bc, grid[order])
 
-    k = epsilons.size
-    vals = curve.values()[inverse]
-    ses = curve.std_errors()[inverse]
+    def increments(betas: np.ndarray) -> np.ndarray:
+        counts = count(betas)[:, inverse]
+        return counts[:, k:] - counts[:, :k]
+
+    # the increment is reduced per sample, so the two counts' correlation enters its SE
+    mean, se, _ = _run_chains(g, cfg, increments, k)
     rows = []
     for i, eps in enumerate(epsilons):
-        lo, hi = vals[i], vals[k + i]
-        # counts are per-sample ordered, so SEs are conservatively combined
-        est = hi - lo
-        se = float(math.hypot(ses[i], ses[k + i]))
+        est, se_i = float(mean[i]), float(se[i])
         bound = 4.0 * math.sqrt(w / (2.0 * math.pi)) * math.sqrt(eps)
         rows.append(
             {
                 "epsilon": float(eps),
                 "estimate": est,
-                "std_error": se,
+                "std_error": se_i,
                 "bound": bound,
-                "passed": bool(est <= bound + SE_SLACK * se),
+                "passed": bool(est <= bound + SE_SLACK * se_i),
                 "ratio_to_epsilon": est / eps,
             }
         )
     return {
         "energy": energy,
-        "bc": curve.bc,
+        "bc": bc,
         "rows": rows,
         "all_passed": all(r["passed"] for r in rows),
     }

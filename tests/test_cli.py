@@ -505,3 +505,76 @@ def test_traced_layer_names_exist():
     ]
     assert len(patched) >= 10
     assert [f"{mod}.{attr}" for mod, attr in patched if not hasattr(layers[mod], attr)] == []
+
+
+def test_benchmark_wrappers_see_every_draw_and_slice(monkeypatch):
+    # perfbench/launch.py and perfbench/traced.py wrap rsolab.field.sample_rig
+    # and rsolab.stats.sample_beta_batch, forwarding every argument; a draw
+    # or a slice that bypassed them would blind `setup_s`, `rig.draws` and
+    # the traced exact-draw check without failing anything
+    from rsolab.stats import MonteCarloConfig, estimate_ids, monotonicity_check
+
+    draw, batch = rsolab.field.sample_rig, rsolab.stats.sample_beta_batch
+    drawn, slices = [], []
+
+    def counted_draw(*args, **kwargs):
+        out = draw(*args, **kwargs)
+        drawn.append(np.size(out))
+        return out
+
+    def counted_batch(*args, **kwargs):
+        out = batch(*args, **kwargs)
+        slices.append(out.shape[0])
+        return out
+
+    monkeypatch.setattr(rsolab.field, "sample_rig", counted_draw)
+    monkeypatch.setattr(rsolab.stats, "sample_beta_batch", counted_batch)
+    monkeypatch.setattr(rsolab.field, "MAX_SLICE", 64)  # three slices per chain
+    cfg = MonteCarloConfig(n_samples=300, seed=1, chains=2)
+    estimate_ids(1, 10, 1.0, "dirichlet", [0.1, 1.0], cfg)
+    assert sum(drawn) == 21 * 300
+    assert slices == [64, 64, 22] * 2
+    drawn.clear()
+    slices.clear()
+    g_low, g_high = (build_grid((2,), w, boundary="wired") for w in (0.5, 1.0))
+    monotonicity_check(g_low, g_high, 0, 1, cfg)
+    assert sum(drawn) == 2 * 2 * 300
+    assert slices == [64, 64, 22] * 4
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="VmHWM is read from procfs")
+def test_ids_holds_one_slice_resident(tmp_path):
+    # the README's budget for `rso ids`: the imports' peak I, one beta slice
+    # of S samples, and the working set (the sampler's 2b^2 + 4b + 10 rows of
+    # S scalars and five (S, k) arrays of the Sturm sweep and the reduction),
+    # plus 10 MiB for the code and modules the run loads; a second resident
+    # slice (32 MiB here) cannot fit.  The size is pinned: three slices on a
+    # 4,001-vertex path, about 2 s.
+    from rsolab.field import slice_size
+    from rsolab.graphs import build_box
+
+    probe = (
+        "import sys\n"
+        "def hwm():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:'))\n"
+        "from rsolab.cli import main\n"
+        "imports = hwm()\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, imports, hwm())\n"
+    )
+    argv = ["ids", "--d", "1", "--L", "2000", "--W", "1", "--bc", "dirichlet", "--samples", "2200"]
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, *argv, "--out-dir", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, imports_kb, peak_kb = map(int, proc.stdout.strip().splitlines()[-1].split())
+    g = build_box(1, 2000, w=1.0, boundary="wired")
+    n, b, k, size = g.n_vertices, g.bandwidth, 10, slice_size(g)
+    assert 2200 > 2 * size
+    budget = imports_kb * 1024 + 8 * size * (n + 2 * b * b + 4 * b + 10 + 5 * k) + (10 << 20)
+    assert code == 0
+    assert peak_kb * 1024 <= budget

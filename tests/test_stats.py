@@ -99,13 +99,17 @@ class TestPlumbing:
     @pytest.mark.parametrize("d, half_side", [(1, 40), (2, 8), (3, 3)])
     def test_estimator_slices_are_the_sampler_draws(self, d, half_side):
         # slices and sampler chunks share one rule, so a chain's slices join
-        # into exactly what one sample_beta_batch call draws on its stream
+        # into exactly what one sample_beta_batch call draws on its stream.
+        # Every slice reuses one workspace, so each is copied as it is drawn:
+        # nothing of a slice may leak into the next, and each chain ends in a
+        # partial slice that must still be sites-first
         g = build_box(d, half_side, w=1.0, boundary="wired")
         n_chain = slice_size(g) + 1
         cfg = MonteCarloConfig(n_samples=2 * n_chain, seed=7, chains=2)
         blocks = {0: [], 1: []}
         for chain, block in _chain_slices(g, cfg):
-            blocks[chain].append(block)
+            assert block.T.flags.c_contiguous
+            blocks[chain].append(block.copy())
         for chain, parts in blocks.items():
             assert [p.shape[0] for p in parts] == [n_chain - 1, 1]
             want = sample_beta_batch(g, n_chain, philox_stream(cfg.seed, chain))
@@ -267,6 +271,22 @@ class TestWegner:
             assert row["estimate"] >= 0.0
             assert row["bound"] == 4.0 * math.sqrt(1.0 / (2 * math.pi)) * math.sqrt(row["epsilon"])
             assert row["passed"]
+
+    def test_std_error_is_that_of_the_per_sample_increment(self):
+        # both counts come from the same fields, so the SE of their
+        # difference is the per-sample increment's, not the hypot of two SEs
+        half, w, energy, epsilons, n = 2, 1.0, 0.5, [0.1, 0.05, 0.01], 400
+        cfg = MonteCarloConfig(n_samples=n, seed=3)
+        rep = wegner_audit(2, half, w, "simple", energy, epsilons, cfg)
+        g = build_box(2, half, w=w, boundary="wired")
+        wm = g.weight_matrix()
+        betas = sample_beta_batch(g, n, philox_stream(3, 0))
+        eigs = np.array([np.linalg.eigvalsh((np.diag(2.0 * beta) - wm) / w) for beta in betas])
+        for row, eps in zip(rep["rows"], epsilons):
+            inc = np.sum((eigs > energy - eps) & (eigs <= energy + eps), axis=1) / g.n_vertices
+            assert inc.std() > 0
+            assert row["estimate"] == pytest.approx(inc.mean(), rel=1e-12)
+            assert row["std_error"] == pytest.approx(inc.std(ddof=1) / math.sqrt(n), rel=1e-12)
 
     def test_rejects_nonpositive_epsilon(self):
         with pytest.raises(ValueError):
