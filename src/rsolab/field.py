@@ -25,11 +25,12 @@ Two samplers are provided:
   graph.  One banded bordering sampler runs it, vectorized across samples,
   in O(n b^2) per sample with b the largest index gap of an edge (b = 1 on
   a path).
-* :func:`gibbs_chain` — Markov chain with exact single-site conditionals
-  and a Green matrix updated in place per site by one BLAS ``dger`` (so
-  C-contiguous; symmetric to round-off), refreshed once per sweep.  It is
-  kept for ``rso sample --sampler gibbs``, the batch-means cross-check in
-  ``rso validate`` and the conditional-law test C4; no estimator uses it.
+* :func:`gibbs_chain` — Markov chain with exact single-site conditionals and
+  delayed rank-one Green updates: a site reads its Green row as the
+  sweep-start matrix's minus the earlier sites' weighted rows, and the
+  matrix is refreshed per sweep, in NumPy.  It is kept for ``rso sample
+  --sampler gibbs``, the batch-means cross-check in ``rso validate`` and the
+  conditional-law test C4; no estimator uses it.
 
 :func:`quadrature_oracle` integrates against the density on graphs of up
 to three vertices, in the pivot variables y_k of the same elimination:
@@ -39,6 +40,7 @@ them, maps y to beta and to <eta, M^-1 eta>.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -176,49 +178,36 @@ def initial_beta(g: WeightedGraph) -> np.ndarray:
 
 
 def fresh_green(g: WeightedGraph, beta: np.ndarray) -> np.ndarray:
-    """Full inverse of the operator, symmetrized; raises on lost positivity."""
-    from scipy.linalg import cho_factor, cho_solve
-
+    """NumPy's inverse of the operator, symmetrized; a Cholesky factor checks positivity."""
     m = _dense_operator(g, beta)
     try:
-        c = cho_factor(m, lower=True, check_finite=False)
+        np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
         raise PositivityLossError(
             "operator not positive definite at refresh; inspect the field"
         ) from exc
-    green = cho_solve(c, np.eye(g.n_vertices), check_finite=False)
+    green = np.linalg.inv(m)
     return 0.5 * (green + green.T)
 
 
-def gibbs_update_site(
-    beta: np.ndarray,
-    green: np.ndarray,
-    eta: np.ndarray,
-    j: int,
-    rng: np.random.Generator,
-) -> tuple[float, float]:
-    """One exact conditional update at site j, in place.
+def gibbs_update_site(beta, green, eta, j, rng, rows, c) -> tuple[float, float]:
+    """One exact conditional update at site j of a sweep in vertex order.
 
     Returns (y, a): the drawn Schur variable and its conditional parameter.
-    The Green matrix is updated by the rank-one identity for a diagonal
-    perturbation; the multiplier 1 + delta*G_jj equals y*G_jj > 0, so the
-    update never pivots through zero while y stays positive.  One BLAS
-    ``dger`` writes it through ``green.T``, so ``green`` must be C-contiguous
-    float64 n x n; G_ij and G_ji round apart, so it is symmetric to round-off
-    until :func:`fresh_green`.  No entry is a sum, so no bit depends on threads.
+    ``green`` is G0, the Green matrix at the sweep's start, only read.  Each
+    earlier site i left its Green row u_i in ``rows[i]`` and the weight c_i =
+    delta_i / (1 + delta_i G_ii) = delta_i / (y_i G_ii) of its rank-one update
+    in ``c[i]``, so row j is G0[j] - sum_{i<j} c_i u_i[j] u_i.  The step
+    writes beta[j], rows[j] and c[j] only.
     """
-    import scipy.linalg.blas
-
-    if green.dtype != np.float64 or green.shape != (beta.size,) * 2 or not green.flags.c_contiguous:
-        raise ValueError("green must be a C-contiguous float64 n x n array")
-    gjj = green[j, j]
-    a = float(green[j] @ eta) / gjj
-    s = 2.0 * beta[j] - 1.0 / gjj
+    u = np.subtract(green[j], (c[:j] * rows[:j, j]) @ rows[:j], out=rows[j])
+    gjj = float(u[j])
+    a = float(u @ eta) / gjj
+    s = 2.0 * float(beta[j]) - 1.0 / gjj
     y = sample_rig(a, rng)
     beta[j] = 0.5 * (y + s)
     delta = y - 1.0 / gjj  # change in the diagonal entry 2*beta_j
-    col = green[:, j].copy()
-    scipy.linalg.blas.dger(-delta / (1.0 + delta * gjj), col, col, a=green.T, overwrite_a=1)
+    c[j] = delta / (1.0 + delta * gjj)
     return y, a
 
 
@@ -228,8 +217,9 @@ def gibbs_chain(
     """Thinned Gibbs configurations as an (n_samples, n) array.
 
     Each sweep updates every site once, in the fixed vertex order
-    (reproducibility), then recomputes the Green matrix from a fresh
-    factorization, which also detects any accumulated loss of positivity.
+    (reproducibility), against the Green matrix of the sweep's start, then
+    recomputes it from a fresh factorization, which also detects any
+    accumulated loss of positivity; no update touches the full matrix.
     Row k is the field after sweep ``burn_in + (k+1)*thinning``.
     Deterministic given (cfg.seed, chain).
     """
@@ -239,11 +229,11 @@ def gibbs_chain(
         raise ValueError("n_samples must be >= 1")
     rng = philox_stream(cfg.seed, chain)
     beta = initial_beta(g)
-    green = fresh_green(g, beta)
+    green, rows, c = fresh_green(g, beta), np.empty((beta.size,) * 2), np.empty(beta.size)
     out = np.empty((n_samples, g.n_vertices))
     for sweep in range(1, cfg.burn_in + n_samples * cfg.thinning + 1):
         for j in range(g.n_vertices):
-            gibbs_update_site(beta, green, g.eta, j, rng)
+            gibbs_update_site(beta, green, g.eta, j, rng, rows, c)
         green = fresh_green(g, beta)
         k, rest = divmod(sweep - cfg.burn_in, cfg.thinning)
         if k > 0 and rest == 0:
@@ -305,6 +295,12 @@ class SliceWork:
         self.beta = np.empty(n * size)
         self.rows = np.empty(sum(math.prod(shape) for shape in self.shapes) * size)
         self.rig = np.empty(6 * size) if rig else None
+
+    def planned_for(self, g: WeightedGraph) -> "SliceWork":
+        """These buffers, planned for g, a graph with this one's vertices and edges."""
+        work = copy.copy(self)
+        work.plan = _band_plan(g)
+        return work
 
     def views(self, m: int):
         """The beta block (n, m) and the window rows of a draw of m samples."""

@@ -142,34 +142,39 @@ def _chain_sizes(total: int, chains: int) -> list[int]:
     return [base + (1 if c < extra else 0) for c in range(chains)]
 
 
-def _chain_slices(g: WeightedGraph, cfg: MonteCarloConfig):
+def _chain_slices(g: WeightedGraph, cfg: MonteCarloConfig, pair: WeightedGraph | None = None):
     """Yield (chain, slice) pairs of exact (b, n) beta slices in chain order.
 
     Each chain draws on its own stream, in the sampler's own slices, so its
     slices join into what one ``sample_beta_batch`` call draws.  Every slice
     is a sites-first view of one :class:`~rsolab.field.SliceWork`, which the
-    next slice overwrites and which goes when the generator does.
+    next slice overwrites and which goes when the generator does.  With a
+    ``pair`` graph on g's vertices and edges, each slice is an iterator that
+    draws g's slice, then the pair's on a copy of the chain's stream.
     """
     size = slice_size(g)
     sizes = _chain_sizes(cfg.n_samples, cfg.chains)
     work = SliceWork(g, min(size, max(sizes)))
+    sides = [(g, work)] if pair is None else [(g, work), (pair, work.planned_for(pair))]
     for chain, n_chain in enumerate(sizes):
-        rng = philox_stream(cfg.seed, chain)
-        for done in range(0, n_chain, size):
-            yield chain, sample_beta_batch(g, min(size, n_chain - done), rng, work=work)
+        rngs = [philox_stream(cfg.seed, chain) for _ in sides]
+        for m in (min(size, n_chain - done) for done in range(0, n_chain, size)):
+            draws = (sample_beta_batch(h, m, rng, work=w) for (h, w), rng in zip(sides, rngs))
+            yield chain, next(draws) if pair is None else draws
 
 
-def _run_chains(g: WeightedGraph, cfg: MonteCarloConfig, eval_slice, k: int):
+def _run_chains(g: WeightedGraph, cfg: MonteCarloConfig, eval_slice, k: int, pair=None):
     """Mean and SE of a k-vector statistic; deterministic ordered reduction.
 
     eval_slice maps a (b, n) beta slice to a (b, k) statistic array that does
     not alias it, and may overwrite the slice: starmap evaluates each slice
-    before the next one is drawn into the same buffers.  Slices merge into
-    their chain's moments, and chains into the total, in order.
+    before the next one is drawn into the same buffers (given a ``pair``, it
+    maps the iterator of two slices).  Slices merge into their chain's
+    moments, and chains into the total, in order.
     """
     empty = (0, np.zeros(k), np.zeros(k))
     total = empty
-    evaluated = starmap(lambda chain, block: (chain, eval_slice(block)), _chain_slices(g, cfg))
+    evaluated = starmap(lambda chain, block: (chain, eval_slice(block)), _chain_slices(g, cfg, pair))
     for _, values in groupby(evaluated, key=itemgetter(0)):
         acc = empty
         for _, vals in values:
@@ -684,31 +689,30 @@ def monotonicity_check(
 
     from .field import quadrature_oracle
 
-    results, quad = {}, {}
-    for name, g in (("low", g_low), ("high", g_high)):
-        stat = partial(_green_ratio, g, s=source, t=target)
-        mean, se, n = _run_chains(g, cfg, lambda betas: stat(betas)[:, None], 1)
-        results[name] = EstimateWithCI(float(mean[0]), float(se[0]), n, cfg.seed)
-        if g.n_vertices <= 3:
-            quad[name] = quadrature_oracle(g, stat, tol=quadrature_tol / 10.0)
+    stats = [partial(_green_ratio, g, s=source, t=target) for g in (g_low, g_high)]
 
-    se_comb = math.hypot(results["low"].std_error, results["high"].std_error)
-    gap = results["high"].value - results["low"].value
-    report = {
-        "low": results["low"],
-        "high": results["high"],
-        "gap": gap,
-        "ordering_ok": bool(gap >= -SE_SLACK * se_comb),
-    }
-    if quad:
-        report["quad_low"] = quad["low"]
-        report["quad_high"] = quad["high"]
-        report["quad_gap"] = quad["high"] - quad["low"]
-        report["mc_matches_quad"] = bool(
-            abs(results["low"].value - quad["low"])
-            <= quadrature_tol + SE_SLACK * results["low"].std_error
-            and abs(results["high"].value - quad["high"])
-            <= quadrature_tol + SE_SLACK * results["high"].std_error
+    def paired(draws) -> np.ndarray:
+        low = stats[0](next(draws))
+        vals = np.empty((low.size, 3), order="F")  # column-major: columns sum as 1-D arrays do
+        vals[:, 0] = low
+        vals[:, 1] = stats[1](next(draws))
+        np.subtract(vals[:, 1], low, out=vals[:, 2])
+        return vals
+
+    # both sides draw on the same streams, so high - low is reduced per sample
+    mean, se, n = _run_chains(g_low, cfg, paired, 3, pair=g_high)
+    low, high = (EstimateWithCI(float(mean[i]), float(se[i]), n, cfg.seed) for i in (0, 1))
+    gap = high.value - low.value
+    report = {"low": low, "high": high, "gap": gap, "gap_std_error": float(se[2])}
+    report["ordering_ok"] = bool(gap >= -SE_SLACK * se[2])
+    if g_low.n_vertices <= 3:
+        tol = quadrature_tol / 10.0
+        quad = [quadrature_oracle(g, stat, tol=tol) for g, stat in zip((g_low, g_high), stats)]
+        report["quad_low"], report["quad_high"] = quad
+        report["quad_gap"] = quad[1] - quad[0]
+        report["mc_matches_quad"] = all(
+            abs(est.value - q) <= quadrature_tol + SE_SLACK * est.std_error
+            for est, q in zip((low, high), quad)
         )
         report["quad_ordering_ok"] = bool(report["quad_gap"] >= -quadrature_tol)
     return report

@@ -3,14 +3,17 @@
 Each evaluates a quantity the samplers and estimators rely on by a route of
 its own, so a test can hold the package's Green solves against it: the
 log-field transform and its inverse, the Schur variables at one vertex by
-two routes, the walk expansion of a Green entry, and the boundary identity
-linking the simple and Dirichlet inverses.  Tests import them as
+two routes, the walk expansion of a Green entry, the boundary identity
+linking the simple and Dirichlet inverses, and a Gibbs chain that updates
+its full Green matrix in place at every site.  Tests import them as
 ``from oracles import ...``; pytest puts this directory on the path.
 """
 
 import numpy as np
+import scipy.linalg.blas
+from scipy.linalg import cho_factor, cho_solve
 
-from rsolab.field import BetaField
+from rsolab.field import BetaField, SamplerConfig, _dense_operator, initial_beta
 from rsolab.graphs import WeightedGraph, remove_vertex
 from rsolab.operators import (
     FactorizationError,
@@ -20,6 +23,8 @@ from rsolab.operators import (
     green_column,
     operator_from_two_beta,
 )
+from rsolab.rig import sample_rig
+from rsolab.rng import philox_stream
 
 SCHUR_AGREE_TOL = 1e-9
 
@@ -122,3 +127,70 @@ def resolvent_identity_residual(f: BetaField) -> float:
     lhs = gs[center] - gd[center]
     rhs = float(np.sum(gd * corr * gs))
     return abs(lhs - rhs)
+
+
+def _cholesky_green(g: WeightedGraph, beta: np.ndarray) -> np.ndarray:
+    """Full inverse of the operator by a SciPy Cholesky solve, symmetrized."""
+    c = cho_factor(_dense_operator(g, beta), lower=True, check_finite=False)
+    green = cho_solve(c, np.eye(g.n_vertices), check_finite=False)
+    return 0.5 * (green + green.T)
+
+
+def in_place_gibbs_chain(g: WeightedGraph, cfg: SamplerConfig, n_samples: int, chain: int = 0):
+    """Thinned Gibbs fields, with the full Green matrix updated at every site.
+
+    The same chain as :func:`rsolab.field.gibbs_chain`, on the same stream:
+    each site update applies its rank-one identity to the whole matrix by one
+    in-place BLAS ``dger`` through ``green.T``, and each sweep ends with a
+    Cholesky refresh.  It agrees with the delayed updates to round-off.
+    """
+    rng = philox_stream(cfg.seed, chain)
+    beta = initial_beta(g)
+    green = _cholesky_green(g, beta)
+    out = np.empty((n_samples, g.n_vertices))
+    for sweep in range(1, cfg.burn_in + n_samples * cfg.thinning + 1):
+        for j in range(g.n_vertices):
+            gjj = green[j, j]
+            a = float(green[j] @ g.eta) / gjj
+            s = 2.0 * beta[j] - 1.0 / gjj
+            y = sample_rig(a, rng)
+            beta[j] = 0.5 * (y + s)
+            delta = y - 1.0 / gjj
+            col = green[:, j].copy()
+            scipy.linalg.blas.dger(-delta / (1.0 + delta * gjj), col, col, a=green.T, overwrite_a=1)
+        green = _cholesky_green(g, beta)
+        k, rest = divmod(sweep - cfg.burn_in, cfg.thinning)
+        if k > 0 and rest == 0:
+            out[k - 1] = beta
+    return out
+
+
+def extended_gibbs_chain(g: WeightedGraph, cfg: SamplerConfig, n_samples: int, chain: int = 0):
+    """The same chain on the same stream, with every Green entry in ``np.longdouble``.
+
+    Each site update inverts the whole operator afresh by Gauss-Jordan
+    elimination (no pivot: the operator is positive definite), so the only
+    float64 step is the RIG draw.  Where ``longdouble`` is wider than float64
+    (x86-64: a 64-bit significand), its distance to a float64 chain measures
+    how much that chain's round-off grew along its trajectory.
+    """
+    rng = philox_stream(cfg.seed, chain)
+    n = g.n_vertices
+    beta = initial_beta(g).astype(np.longdouble)
+    wmat, eta = g.weight_matrix().astype(np.longdouble), g.eta.astype(np.longdouble)
+    off = ~np.eye(n, dtype=bool)
+    out = np.empty((n_samples, n), dtype=np.longdouble)
+    for sweep in range(1, cfg.burn_in + n_samples * cfg.thinning + 1):
+        for j in range(n):
+            aug = np.concatenate([np.diag(2 * beta) - wmat, np.eye(n, dtype=np.longdouble)], axis=1)
+            for k in range(n):
+                aug[k] /= aug[k, k]
+                aug -= np.outer(aug[:, k] * off[k], aug[k])
+            green = aug[:, n:]
+            gjj = green[j, j]
+            y = sample_rig(float(green[j] @ eta / gjj), rng)
+            beta[j] = (np.longdouble(y) + 2 * beta[j] - 1 / gjj) / 2
+        k, rest = divmod(sweep - cfg.burn_in, cfg.thinning)
+        if k > 0 and rest == 0:
+            out[k - 1] = beta
+    return out

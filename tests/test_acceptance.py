@@ -120,11 +120,13 @@ def test_c04_gibbs_conditional_mean():
     details = []
     ok = True
     for j in (0, 4):
+        # no earlier site of the sweep has moved: their weights stay 0, and
+        # each step writes only rows[j] and c[j], which no later step reads
+        rows, c = np.zeros_like(green0), np.zeros(g.n_vertices)
         ys = np.empty(100_000)
         a = 0.0
         for i in range(ys.size):
-            green = green0.copy()
-            y, a = gibbs_update_site(beta_work, green, g.eta, j, rng)
+            y, a = gibbs_update_site(beta_work, green0, g.eta, j, rng, rows, c)
             beta_work[j] = f.beta[j]
             ys[i] = y
         dev = abs(ys.mean() - (a + 1.0)) / (ys.std(ddof=1) / np.sqrt(ys.size))

@@ -440,17 +440,17 @@ def test_module_main_matches_script():
 def test_scipy_loads_only_where_a_command_computes_with_it(tmp_path):
     # SciPy costs about 0.25 s and 25 MB per process, so it loads inside the
     # functions that call it: counting on graphs wider than `BAND_COUNT_MAX`,
-    # the Gibbs rank-one update and refresh, green_column, the Bessel
-    # functions of `critical` and the KS tests of `validate`.  Importing the
-    # CLI, counting on a path or a narrow box, the monotonicity check and the
-    # exact sampler load no scipy module at all.
+    # green_column, the Bessel functions of `critical` and the KS tests of
+    # `validate`.  Importing the CLI, counting on a path or a narrow box, the
+    # monotonicity check, the exact sampler and the Gibbs chain load no scipy
+    # module at all.
     probe = (
         "import json, sys\n"
         "from rsolab.cli import main\n"
         "loaded = lambda: [m for m in sys.modules if m.startswith('scipy')]\n"
-        "seen = {'import': [0, loaded()]}\n"
+        "seen = [['import', 0, loaded()]]\n"
         "for argv in json.loads(sys.argv[1]):\n"
-        "    seen[argv[0]] = [main(argv), loaded()]\n"
+        "    seen.append([argv[0], main(argv), loaded()])\n"
         "print(json.dumps(seen))\n"
     )
     out = ["--out-dir", str(tmp_path)]
@@ -459,6 +459,8 @@ def test_scipy_loads_only_where_a_command_computes_with_it(tmp_path):
         ["wegner", *out, "--d", "2", "--L", "2", "--W", "1.0", "--energy", "0.5", "--samples", "10"],
         ["monotonicity", *out, "--vertices", "2", "--samples", "100"],
         ["sample", *out, "--sampler", "exact", "--d", "2", "--L", "2", "--W", "1.0", "--samples", "4"],
+        ["sample", *out, "--sampler", "gibbs", "--d", "2", "--L", "2", "--W", "1.0", "--samples", "4",
+         "--burn-in", "2", "--thinning", "1"],
     ]
     proc = subprocess.run(
         [sys.executable, "-c", probe, json.dumps(runs)],
@@ -468,7 +470,8 @@ def test_scipy_loads_only_where_a_command_computes_with_it(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert seen == {name: [0, []] for name in ("import", "ids", "wegner", "monotonicity", "sample")}
+    names = ("import", "ids", "wegner", "monotonicity", "sample", "sample")
+    assert seen == [[name, 0, []] for name in names]
 
 
 def test_one_sample_monotonicity_writes_its_summary(tmp_path, capsys):
@@ -539,7 +542,8 @@ def test_benchmark_wrappers_see_every_draw_and_slice(monkeypatch):
     g_low, g_high = (build_grid((2,), w, boundary="wired") for w in (0.5, 1.0))
     monotonicity_check(g_low, g_high, 0, 1, cfg)
     assert sum(drawn) == 2 * 2 * 300
-    assert slices == [64, 64, 22] * 4
+    # the two sides' slices alternate, each drawn into the one workspace
+    assert slices == [64, 64, 64, 64, 22, 22] * 2
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="VmHWM is read from procfs")

@@ -38,6 +38,8 @@ from rsolab.operators import FactorizationError
 from rsolab.rig import rig_cdf, sample_rig
 from rsolab.rng import philox_stream
 
+from oracles import extended_gibbs_chain, in_place_gibbs_chain
+
 
 def single_vertex(eta: float) -> WeightedGraph:
     return WeightedGraph(1, np.empty((0, 2), dtype=np.int64), np.empty(0), np.array([eta]))
@@ -305,6 +307,15 @@ class TestExactSampler:
         assert abs(vals.mean() - laplace_exact(g, lam)) <= 4.0 * se
 
 
+#: The graphs of the frozen Gibbs references.
+REFERENCE_GRAPHS = [
+    build_grid((2, 2), 1.0, boundary="wired"),
+    build_grid((3,), 1.0, boundary="zero"),
+    build_box(2, 2, w=0.3),
+]
+REFERENCE_IDS = ["box2x2-wired", "path3-zero", "box-d2-L2"]
+
+
 class TestGibbsSampler:
     def test_stream_and_config_determinism(self):
         g = build_grid((2, 2), 1.0)
@@ -337,15 +348,7 @@ class TestGibbsSampler:
         # thinned MCMC retains some autocorrelation; allow 2x the iid band
         assert stat < 4.0 / math.sqrt(betas.shape[0])
 
-    @pytest.mark.parametrize(
-        "g",
-        [
-            build_grid((2, 2), 1.0, boundary="wired"),
-            build_grid((3,), 1.0, boundary="zero"),
-            build_box(2, 2, w=0.3),
-        ],
-        ids=["box2x2-wired", "path3-zero", "box-d2-L2"],
-    )
+    @pytest.mark.parametrize("g", REFERENCE_GRAPHS, ids=REFERENCE_IDS)
     @pytest.mark.parametrize("burn_in, thinning", [(0, 1), (3, 3), (10, 2)])
     @pytest.mark.parametrize("chain", [0, 1])
     def test_gibbs_chain_matches_frozen_sweep_reference(self, g, burn_in, thinning, chain):
@@ -357,6 +360,22 @@ class TestGibbsSampler:
         with pytest.raises(ValueError, match="n_samples"):
             gibbs_chain(build_grid((2,), 1.0), SamplerConfig(), 0)
 
+    @pytest.mark.parametrize("g", REFERENCE_GRAPHS, ids=REFERENCE_IDS)
+    @pytest.mark.parametrize("chain", [0, 1])
+    def test_gibbs_chain_matches_the_in_place_sweep(self, g, chain):
+        # the delayed updates reorder the old per-site rank-one updates of the
+        # full Green matrix, and the refresh is NumPy's inverse, not a Cholesky
+        # solve: on the same stream the fields agree to 1e-12 relative, plus
+        # ten times the round-off that the chain itself amplifies, which is
+        # the old chain's distance to the same chain in extended precision
+        # (path3-zero, chain 0: about 1e-10 after 20 sweeps)
+        cfg = SamplerConfig(seed=4, burn_in=10, thinning=2)
+        want = in_place_gibbs_chain(g, cfg, 5, chain)
+        exact = extended_gibbs_chain(g, cfg, 5, chain)
+        amplified = float(np.max(np.abs(want - exact) / exact))
+        got = gibbs_chain(g, cfg, 5, chain=chain)
+        assert np.max(np.abs(got - want) / want) <= 1e-12 + 10.0 * amplified
+
     @pytest.mark.parametrize(
         "g",
         [build_box(2, 4, w=1.0, boundary="wired"), build_grid((3,), 1.0, boundary="zero")],
@@ -365,55 +384,73 @@ class TestGibbsSampler:
     def test_sweep_of_updates_matches_fresh_green(self, g):
         beta = initial_beta(g)
         green = fresh_green(g, beta)
+        rows, c = np.empty_like(green), np.empty_like(beta)
         rng = philox_stream(21)
         for j in range(g.n_vertices):
-            gibbs_update_site(beta, green, g.eta, j, rng)
+            gibbs_update_site(beta, green, g.eta, j, rng, rows, c)
         want = fresh_green(g, beta)
-        assert np.max(np.abs(green - want)) <= 1e-10 * np.max(np.abs(want))
-
-    def test_update_writes_the_callers_array(self):
-        # green is a C-contiguous view into a larger buffer: the update must
-        # land in that buffer, not in a copy
-        g = build_grid((3,), 1.0, boundary="zero")
-        beta = initial_beta(g)
-        store = np.zeros((2, 3, 3))
-        store[0] = fresh_green(g, beta)
-        before = store[0].copy()
-        green = store[0]
-        gibbs_update_site(beta, green, g.eta, 1, philox_stream(5))
-        assert np.shares_memory(green, store)
-        assert not np.array_equal(store[0], before)
-        np.testing.assert_allclose(store[0], fresh_green(g, beta), rtol=0, atol=1e-12)
-        assert not store[1].any()
+        got = green - rows.T @ (c[:, None] * rows)  # G0 - U C U'
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
     @pytest.mark.parametrize(
         "layout",
-        [np.asfortranarray, lambda m: np.repeat(m, 2, axis=1)[:, ::2], lambda m: m.astype(np.float32)],
-        ids=["fortran", "sliced", "float32"],
+        [np.ascontiguousarray, np.asfortranarray, lambda m: np.repeat(m, 2, axis=1)[:, ::2]],
+        ids=["c", "fortran", "sliced"],
     )
-    def test_update_refuses_a_green_it_cannot_write_in_place(self, layout):
-        g = build_grid((3,), 1.0, boundary="zero")
+    def test_update_only_reads_the_sweep_start_green(self, layout):
+        # a read-only G0 in any layout: a write would raise, and the sweep
+        # draws the same bits as from a C-contiguous G0
+        g = build_box(2, 2, w=0.3)
+        beta0 = initial_beta(g)
+        green = fresh_green(g, beta0)
+        fields = []
+        for g0 in (green, layout(green.copy())):
+            g0.setflags(write=False)
+            beta, rows, c = beta0.copy(), np.empty_like(green), np.empty_like(beta0)
+            rng = philox_stream(5)
+            for j in range(g.n_vertices):
+                gibbs_update_site(beta, g0, g.eta, j, rng, rows, c)
+            assert np.array_equal(g0, green)
+            fields.append(beta)
+        assert np.array_equal(fields[0], fields[1])
+
+    @pytest.mark.parametrize("j", [0, 2, 8])
+    def test_update_writes_only_its_row_and_weight(self, j):
+        g = build_box(2, 1, w=1.0, boundary="wired")
+        n = g.n_vertices
         beta = initial_beta(g)
-        green = layout(fresh_green(g, beta))
-        before, beta0 = green.copy(), beta.copy()
-        with pytest.raises(ValueError, match="C-contiguous float64"):
-            gibbs_update_site(beta, green, g.eta, 0, philox_stream(5))
-        assert np.array_equal(green, before) and np.array_equal(beta, beta0)
+        green = fresh_green(g, beta)
+        rows, c = np.full((n, n), np.nan), np.full(n, np.nan)
+        rng = philox_stream(8)
+        for i in range(j):
+            gibbs_update_site(beta, green, g.eta, i, rng, rows, c)
+        before = beta.copy(), rows.copy(), c.copy()
+        current = fresh_green(g, beta)[j]
+        y, _ = gibbs_update_site(beta, green, g.eta, j, rng, rows, c)
+        others = np.arange(n) != j
+        for after, old in zip((beta, rows, c), before):
+            np.testing.assert_array_equal(after[others], old[others])
+        # row j is the current Green row, and c_j its rank-one weight
+        np.testing.assert_allclose(rows[j], current, rtol=0, atol=1e-12 * np.abs(current).max())
+        want, updated = fresh_green(g, beta)[j], current - c[j] * current[j] * current
+        np.testing.assert_allclose(updated, want, rtol=0, atol=1e-12 * want.max())
+        assert beta[j] == pytest.approx(0.5 * (y + 2.0 * before[0][j] - 1.0 / current[j]), rel=1e-12)
 
 
 def _reference_gibbs_chain(g, cfg, n_samples, chain):
     """Frozen copy of the generator-and-sweep Gibbs chain that gibbs_chain replaced.
 
     A stream of BetaFields: burn in, then yield every thinning-th sweep; each
-    sweep copies beta, updates every site in vertex order and refreshes the
-    Green matrix after every n site updates.
+    sweep copies beta, updates every site in vertex order against the Green
+    matrix of the last refresh and refreshes it after every n site updates.
     """
     n = g.n_vertices
+    rows, c = np.empty((n, n)), np.empty(n)
 
     def sweep(f, state, rng):
         beta = f.beta.copy()
         for j in range(n):
-            field.gibbs_update_site(beta, state["green"], g.eta, j, rng)
+            field.gibbs_update_site(beta, state["green"], g.eta, j, rng, rows, c)
             state["since_refresh"] += 1
             if state["since_refresh"] >= n:
                 state["green"] = field.fresh_green(g, beta)

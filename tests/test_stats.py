@@ -647,6 +647,27 @@ class TestMonotonicity:
         assert rep["mc_matches_quad"]
         assert rep["gap"] == rep["high"].value - rep["low"].value
 
+    def test_gap_std_error_is_that_of_the_per_sample_difference(self):
+        # both sides draw on the same streams, so the gap's SE is the SE of
+        # the per-sample high - low, not the hypot of the two sides' SEs
+        n, seed, chains = 2000, 0, 2
+        g_low, g_high = (build_grid((4,), w, boundary="wired") for w in (0.5, 1.0))
+        rep = monotonicity_check(g_low, g_high, 0, 3, MonteCarloConfig(n_samples=n, seed=seed, chains=chains))
+        ratios = []
+        for g in (g_low, g_high):
+            wm = g.weight_matrix()
+            betas = np.concatenate(
+                [sample_beta_batch(g, n // chains, philox_stream(seed, c)) for c in range(chains)]
+            )
+            greens = np.linalg.inv(2.0 * betas[:, :, None] * np.eye(4) - wm)
+            ratios.append(np.sqrt(greens[:, 0, 3] / greens[:, 0, 0]))
+        diff = ratios[1] - ratios[0]
+        for est, x in zip((rep["low"], rep["high"]), ratios):
+            assert est.std_error == pytest.approx(x.std(ddof=1) / math.sqrt(n), rel=1e-12)
+        assert rep["gap"] == pytest.approx(diff.mean(), rel=1e-12)
+        assert rep["gap_std_error"] == pytest.approx(diff.std(ddof=1) / math.sqrt(n), rel=1e-12)
+        assert rep["gap_std_error"] < math.hypot(rep["low"].std_error, rep["high"].std_error)
+
     def test_domination_validated(self):
         g_low = build_grid((3,), 1.0, boundary="wired")
         g_high = build_grid((3,), 0.5, boundary="wired")
