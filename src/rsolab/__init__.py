@@ -39,8 +39,8 @@ from .graphs import (
     build_box,
     build_grid,
     dump_graph,
+    integrate_out,
     load_graph,
-    remove_vertex,
     subbox_indices,
 )
 from .operators import (
@@ -92,7 +92,7 @@ __all__ = [
     "build_box",
     "subbox_indices",
     "attach_delta",
-    "remove_vertex",
+    "integrate_out",
     "dump_graph",
     "load_graph",
     # rig

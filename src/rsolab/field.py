@@ -178,15 +178,19 @@ def initial_beta(g: WeightedGraph) -> np.ndarray:
 
 
 def fresh_green(g: WeightedGraph, beta: np.ndarray) -> np.ndarray:
-    """NumPy's inverse of the operator, symmetrized; a Cholesky factor checks positivity."""
-    m = _dense_operator(g, beta)
+    """D inv(D M D) D, symmetrized, with D = diag(2 beta)^{-1/2}: the unit diagonal keeps
+    badly scaled operators accurate, and a Cholesky factor of D M D checks positivity."""
+    if not np.all(beta > 0):
+        raise PositivityLossError("nonpositive beta at refresh; inspect the field")
+    d = 1.0 / np.sqrt(2.0 * beta)
+    m = d[:, None] * _dense_operator(g, beta) * d
     try:
         np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
         raise PositivityLossError(
             "operator not positive definite at refresh; inspect the field"
         ) from exc
-    green = np.linalg.inv(m)
+    green = d[:, None] * np.linalg.inv(m) * d
     return 0.5 * (green + green.T)
 
 

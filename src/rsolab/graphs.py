@@ -6,8 +6,8 @@ symmetric positive edge weights and a per-vertex nonnegative boundary field
 them know their ambient dimension (needed for the Dirichlet diagonal
 correction) and estimators can locate the center vertex and boundary shells.
 
-Graphs are immutable: derived graphs (ghost vertex attached, vertex removed)
-are new values, so one graph can be shared freely across sampler chains.
+Graphs are immutable: derived graphs (ghost vertex attached, vertex integrated
+out) are new values, so one graph can be shared freely across sampler chains.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ __all__ = [
     "build_box",
     "subbox_indices",
     "attach_delta",
-    "remove_vertex",
+    "integrate_out",
     "dump_graph",
     "load_graph",
 ]
@@ -396,34 +396,34 @@ def attach_delta(g: WeightedGraph) -> WeightedGraph:
     )
 
 
-def remove_vertex(g: WeightedGraph, j: int) -> WeightedGraph:
-    """Induced subgraph on V \\ {j}; eta restricted to the survivors.
+def integrate_out(g: WeightedGraph, s: int) -> WeightedGraph:
+    """Graph of the law of beta_{-s}: g - s, with eta_i + w_si at each neighbour i of s.
 
-    Vertex indices above j shift down by one.  Removing the ghost vertex of
-    an ``attach_delta`` graph recovers the original edge set (with eta zero).
+    That law is the field law (Sabot-Tarres-Zeng).  Vertex indices above s
+    shift down by one.  Integrating out an ``attach_delta`` sink recovers g.
     """
     n = g.n_vertices
-    if not 0 <= j < n:
-        raise ValueError(f"vertex {j} not in graph of size {n}")
-    keep_edge = (g.edges[:, 0] != j) & (g.edges[:, 1] != j)
-    edges = g.edges[keep_edge].copy()
-    edges[edges > j] -= 1
-    weights = g.weights[keep_edge]
-    eta = np.delete(g.eta, j)
+    if not 0 <= s < n:
+        raise ValueError(f"vertex {s} not in graph of size {n}")
+    at_s = np.any(g.edges == s, axis=1)
+    eta = g.eta.copy()
+    eta[g.edges[at_s].sum(axis=1) - s] += g.weights[at_s]  # the other endpoints
+    edges = g.edges[~at_s].copy()
+    edges[edges > s] -= 1
     coords = g.coords
-    if coords is not None and j < coords.shape[0]:
-        coords = np.delete(coords, j, axis=0)
+    if coords is not None and s < coords.shape[0]:
+        coords = np.delete(coords, s, axis=0)
     delta = g.delta
     if delta is not None:
-        if j == delta:
+        if s == delta:
             delta = None
-        elif delta > j:
+        elif delta > s:
             delta -= 1
     return WeightedGraph(
         n_vertices=n - 1,
         edges=edges,
-        weights=weights,
-        eta=eta,
+        weights=g.weights[~at_s],
+        eta=np.delete(eta, s),
         d=g.d,
         half_side=None,
         shape=None,

@@ -27,7 +27,7 @@ from operator import itemgetter
 import numpy as np
 
 from .field import SliceWork, laplace_exact, sample_beta_batch, slice_size
-from .graphs import WeightedGraph, build_box, remove_vertex, subbox_indices
+from .graphs import WeightedGraph, build_box, integrate_out, subbox_indices
 from .operators import (
     BAND_COUNT_MAX,
     FactorizationError,
@@ -231,23 +231,25 @@ def _pinning_rate(g: WeightedGraph, betas: np.ndarray, vertex: int) -> np.ndarra
     return 0.5 / _green_solve(g, 2.0 * betas, col)[:, vertex, 0]
 
 
-def _green_ratio(g: WeightedGraph, betas: np.ndarray, s: int, t: int) -> np.ndarray:
-    """sqrt(G(s,t)/G(s,s)) with G = (2 beta - W)^{-1}, one value per row of betas.
+def _green_ratio(g: WeightedGraph, s: int, t: int):
+    """h = integrate_out(g, s) and sqrt(G(s,t)/G(s,s)) as a statistic of beta_{-s}.
 
-    Column s of M G = I off row s reads M_{-s} G(., s) = W(., s) G(s,s), so
-    the ratios are the solve of the vertex-s-deleted block against the
-    couplings to s.  Neither M^{-1} nor det M enters, so the quadrature
-    integrand stays stable at the grid's near-singular corners.
+    G = (2 beta - W)^{-1}.  Column s of M G = I off row s reads M_{-s} G(., s)
+    = W(., s) G(s,s), so the ratios are the solve of the vertex-s-deleted
+    block against the couplings to s.  They read only beta_{-s}, whose law
+    lives on h, and h serves as the block's graph: :func:`_green_solve` reads
+    no eta.  Neither M^{-1} nor det M enters, so the quadrature integrand
+    stays stable at the grid's near-singular corners.
     """
+    h = integrate_out(g, s)
     if s == t:
-        return np.ones(betas.shape[0])
-    keep = np.arange(g.n_vertices) != s
+        return h, lambda betas: np.ones(betas.shape[0])
     lo, hi = g.edges[:, 0], g.edges[:, 1]
     couplings = np.zeros(g.n_vertices)
     couplings[hi[lo == s]] = g.weights[lo == s]
     couplings[lo[hi == s]] = g.weights[hi == s]
-    x = _green_solve(remove_vertex(g, s), 2.0 * betas[:, keep], couplings[keep, None])
-    return np.sqrt(x[:, t - (t > s), 0])
+    couplings, col = np.delete(couplings, s)[:, None], t - (t > s)
+    return h, lambda betas: np.sqrt(_green_solve(h, 2.0 * betas, couplings)[:, col, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -678,8 +680,9 @@ def monotonicity_check(
 
     g_low and g_high must share the edge set, with g_low's weights and
     boundary field dominated by g_high's; the expectation is nondecreasing
-    under that domination.  On graphs of at most three vertices both sides
-    are also evaluated by deterministic quadrature certified to a tenth of
+    under that domination.  The statistic reads beta_{-s} alone, so on graphs
+    of two or three vertices both sides are also integrated over the law of
+    beta_{-s} by deterministic quadrature, certified to a tenth of
     quadrature_tol (the MC/quadrature match tolerance).
     """
     if g_low.n_vertices != g_high.n_vertices or not np.array_equal(g_low.edges, g_high.edges):
@@ -689,13 +692,15 @@ def monotonicity_check(
 
     from .field import quadrature_oracle
 
-    stats = [partial(_green_ratio, g, s=source, t=target) for g in (g_low, g_high)]
+    sides = [_green_ratio(g, source, target) for g in (g_low, g_high)]
+    (_, low_ratio), (_, high_ratio) = sides
+    keep = np.arange(g_low.n_vertices) != source
 
     def paired(draws) -> np.ndarray:
-        low = stats[0](next(draws))
+        low = low_ratio(next(draws)[:, keep])
         vals = np.empty((low.size, 3), order="F")  # column-major: columns sum as 1-D arrays do
         vals[:, 0] = low
-        vals[:, 1] = stats[1](next(draws))
+        vals[:, 1] = high_ratio(next(draws)[:, keep])
         np.subtract(vals[:, 1], low, out=vals[:, 2])
         return vals
 
@@ -705,9 +710,9 @@ def monotonicity_check(
     gap = high.value - low.value
     report = {"low": low, "high": high, "gap": gap, "gap_std_error": float(se[2])}
     report["ordering_ok"] = bool(gap >= -SE_SLACK * se[2])
-    if g_low.n_vertices <= 3:
+    if 1 < g_low.n_vertices <= 3:
         tol = quadrature_tol / 10.0
-        quad = [quadrature_oracle(g, stat, tol=tol) for g, stat in zip((g_low, g_high), stats)]
+        quad = [quadrature_oracle(h, stat, tol=tol) for h, stat in sides]
         report["quad_low"], report["quad_high"] = quad
         report["quad_gap"] = quad[1] - quad[0]
         report["mc_matches_quad"] = all(

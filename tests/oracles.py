@@ -14,7 +14,7 @@ import scipy.linalg.blas
 from scipy.linalg import cho_factor, cho_solve
 
 from rsolab.field import BetaField, SamplerConfig, _dense_operator, initial_beta
-from rsolab.graphs import WeightedGraph, remove_vertex
+from rsolab.graphs import WeightedGraph, integrate_out
 from rsolab.operators import (
     FactorizationError,
     ResidualError,
@@ -73,13 +73,14 @@ def schur_y_and_a(f: BetaField, j: int) -> tuple[float, float]:
     wrow = np.zeros(g.n_vertices)
     wrow[j0[i0 == j]] = g.weights[i0 == j]
     wrow[i0[j0 == j]] = g.weights[j0 == j]
-    sub = remove_vertex(g, j)
+    sub = integrate_out(g, j)
     keep = np.arange(g.n_vertices) != j
     if sub.n_vertices:
         m_sub = operator_from_two_beta(sub, 2.0 * f.beta[keep], bc="simple", w=f.w)
         x = _solve_refined(m_sub, wrow[keep])  # (M_sub)^{-1} W_{.,j}
         y_schur = 2.0 * f.beta[j] - float(wrow[keep] @ x)
-        x_eta = _solve_refined(m_sub, sub.eta.astype(float)) if np.any(sub.eta) else np.zeros(sub.n_vertices)
+        eta = g.eta[keep].astype(float)
+        x_eta = _solve_refined(m_sub, eta) if np.any(eta) else np.zeros(sub.n_vertices)
         a_schur = float(g.eta[j]) + float(wrow[keep] @ x_eta)
     else:
         y_schur = 2.0 * f.beta[j]

@@ -33,7 +33,7 @@ from rsolab.field import (
     quadrature_oracle,
     sample_beta_batch,
 )
-from rsolab.graphs import DENSE_MAX, WeightedGraph, attach_delta, build_box, build_grid
+from rsolab.graphs import DENSE_MAX, WeightedGraph, attach_delta, build_box, build_grid, integrate_out
 from rsolab.operators import FactorizationError
 from rsolab.rig import rig_cdf, sample_rig
 from rsolab.rng import philox_stream
@@ -164,6 +164,28 @@ class TestLaplaceExact:
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
             laplace_exact(two_path(1.0), [0.1])
+
+    @pytest.mark.parametrize(
+        "g, s",
+        [
+            (build_box(2, 2, w=0.7, boundary="wired"), 0),
+            (build_box(2, 2, w=0.7, boundary="wired"), 2),
+            (build_box(2, 2, w=0.7, boundary="wired"), 12),
+            (build_grid((4,), 1.3, boundary="zero"), 1),
+            (attach_delta(build_grid((3,), 2.0, boundary="wired")), 3),
+        ],
+        ids=["box-corner", "box-edge", "box-center", "path4-zero", "delta-sink"],
+    )
+    def test_integrate_out_is_the_marginal_law(self, g, s):
+        # beta_{-s} follows the field law on g - s with eta_i + w_si, so the
+        # Laplace transform at lambda_s = 0 is the same closed form on both;
+        # keeping eta_i alone misses by up to 4.5 relative here
+        keep = np.arange(g.n_vertices) != s
+        for seed in range(4):
+            lam = np.random.default_rng(seed).uniform(0.0, 2.0, size=g.n_vertices)
+            lam[s] = 0.0
+            want = laplace_exact(g, lam)
+            assert laplace_exact(integrate_out(g, s), lam[keep]) == pytest.approx(want, rel=1e-13, abs=0)
 
 
 class TestBetaField:
@@ -336,6 +358,23 @@ class TestGibbsSampler:
         g = two_path(4.0)
         with pytest.raises(PositivityLossError):
             fresh_green(g, np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+    def test_nonpositive_beta_raises(self, bad):
+        # the refresh scales by (2 beta)^{-1/2}, which beta <= 0 leaves
+        # undefined; it must not reach the Cholesky check as NaN
+        with pytest.raises(PositivityLossError, match="nonpositive beta"):
+            fresh_green(two_path(0.1), np.array([5.0, bad]))
+
+    def test_refresh_keeps_the_chain_near_extended_precision(self):
+        # the refresh inverts the unit-diagonal D M D, D = diag(2 beta)^{-1/2};
+        # inverting M itself put this chain 1.6e-13 from the same chain in
+        # extended precision after 20 sweeps
+        g = build_grid((3,), 1.0, boundary="zero")
+        cfg = SamplerConfig(seed=4, burn_in=10, thinning=2)
+        exact = extended_gibbs_chain(g, cfg, 5, 1)
+        got = gibbs_chain(g, cfg, 5, chain=1)
+        assert np.max(np.abs(got - exact) / exact) <= 5e-14
 
     def test_stationary_marginal_matches_rig(self):
         # after burn-in, the chain's one-site law must match the exact

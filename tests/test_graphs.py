@@ -14,8 +14,8 @@ from rsolab.graphs import (
     build_box,
     build_grid,
     dump_graph,
+    integrate_out,
     load_graph,
-    remove_vertex,
 )
 
 
@@ -124,12 +124,13 @@ class TestDerivedStructure:
 
 
 class TestDerivedGraphs:
-    def test_remove_vertex_shifts_indices(self):
+    def test_integrate_out_shifts_indices(self):
         g = build_grid((4,), 1.0)
-        h = remove_vertex(g, 1)
+        h = integrate_out(g, 1)
         assert h.n_vertices == 3
         assert np.array_equal(h.edges, [[1, 2]])
-        assert np.allclose(h.eta, [g.eta[0], g.eta[2], g.eta[3]])
+        # the neighbours 0 and 2 of the vertex 1 take its coupling w = 1
+        assert np.allclose(h.eta, [g.eta[0] + 1.0, g.eta[2] + 1.0, g.eta[3]])
 
     def test_attach_delta_moves_eta_to_sink(self):
         g = build_grid((3,), 2.0, boundary="wired")
@@ -139,10 +140,11 @@ class TestDerivedGraphs:
         assert np.all(h.eta == 0)
         wm = h.weight_matrix()
         assert np.allclose(wm[3, :3], g.eta)
-        # removing the sink recovers the interior couplings
-        back = remove_vertex(h, 3)
+        # integrating out the sink recovers the interior couplings and eta
+        back = integrate_out(h, 3)
         assert np.array_equal(back.edges, g.edges)
         assert np.allclose(back.weights, g.weights)
+        assert np.allclose(back.eta, g.eta)
 
     def test_attach_delta_requires_boundary_mass(self):
         with pytest.raises(ValueError):

@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import as_strided
 
-from rsolab import stats
-from rsolab.field import _pivots_to_field, sample_beta_batch, slice_size
-from rsolab.graphs import build_box, build_grid, remove_vertex, subbox_indices
+from rsolab import field, stats
+from rsolab.field import _pivots_to_field, quadrature_oracle, sample_beta_batch, slice_size
+from rsolab.graphs import build_box, build_grid, integrate_out, subbox_indices
 from rsolab.operators import FactorizationError, _green_solve, operator_from_two_beta
 from rsolab.rng import philox_stream
 from rsolab.stats import (
@@ -120,8 +120,6 @@ class TestPlumbing:
         # the last one is dropped, so the traced peak is one slice plus the
         # evaluation's small working set
         import tracemalloc
-
-        from rsolab import field
 
         monkeypatch.setattr(field, "SLICE_SCALARS", 1 << 18)
         g = build_box(1, 200, w=1.0, boundary="wired")
@@ -421,9 +419,10 @@ class TestGreenSolves:
         betas = sample_beta_batch(g, 40, philox_stream(len(shape) * 10 + shape[0]))
         inv = np.linalg.inv(_dense_stack(g, betas))
         for s in range(g.n_vertices):
+            keep = np.arange(g.n_vertices) != s
             for t in range(g.n_vertices):
                 want = np.sqrt(inv[:, s, t] / inv[:, s, s])
-                np.testing.assert_allclose(_green_ratio(g, betas, s, t), want, rtol=1e-12, atol=0)
+                np.testing.assert_allclose(_green_ratio(g, s, t)[1](betas[:, keep]), want, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("w", [0.5, 1.0, 2.0])
     def test_green_ratio_matches_frozen_cofactor_ratio(self, w):
@@ -446,9 +445,10 @@ class TestGreenSolves:
             betas, _ = _pivots_to_field(g, y)
             mats = _dense_stack(g, betas)
             for s in range(n):
+                keep = np.arange(n) != s
                 for t in range(n):
                     want = np.sqrt(_frozen_cofactor_ratio(mats, s, t))
-                    got = _green_ratio(g, betas, s, t)
+                    got = _green_ratio(g, s, t)[1](betas[:, keep])
                     assert np.all(np.abs(got - want) <= 8.0 * eps * cond * want)
 
     def test_singular_slice_raises_factorization_error(self):
@@ -466,7 +466,7 @@ class TestGreenSolves:
             build_grid((60,), 0.7, boundary="wired"),
             build_box(2, 4, w=1.0, boundary="wired"),
             build_box(3, 2, w=1.0, boundary="wired"),
-            remove_vertex(build_grid((2,), 0.5, boundary="wired"), 1),
+            integrate_out(build_grid((2,), 0.5, boundary="wired"), 1),
         ],
         ids=["path", "d2_L4", "d3_L2", "one_vertex"],
     )
@@ -483,7 +483,7 @@ class TestGreenSolves:
         # degree plus one dominates the couplings
         g = build_grid((n,), 0.8, boundary="wired")
         if removed is not None:
-            g = remove_vertex(g, removed)
+            g = integrate_out(g, removed)
         rng = np.random.default_rng(n)
         diag = (g.degree_w + 1.0) * rng.uniform(1.5, 3.0, size=(25, g.n_vertices))
         rhs = rng.uniform(-1.0, 1.0, size=(g.n_vertices, 2))
@@ -499,7 +499,7 @@ class TestGreenSolves:
         betas = sample_beta_batch(g, 20, philox_stream(d * 10 + half_side))
         if removed is not None:
             keep = np.arange(g.n_vertices) != g.center_index
-            g, betas = remove_vertex(g, g.center_index), betas[:, keep]
+            g, betas = integrate_out(g, g.center_index), betas[:, keep]
         rhs = np.random.default_rng(d).uniform(0.0, 1.0, size=(g.n_vertices, 3))
         want = np.linalg.solve(_dense_stack(g, betas), np.broadcast_to(rhs, (20, *rhs.shape)))
         np.testing.assert_allclose(_green_solve(g, 2.0 * betas, rhs), want, rtol=1e-12, atol=0)
@@ -667,6 +667,36 @@ class TestMonotonicity:
         assert rep["gap"] == pytest.approx(diff.mean(), rel=1e-12)
         assert rep["gap_std_error"] == pytest.approx(diff.std(ddof=1) / math.sqrt(n), rel=1e-12)
         assert rep["gap_std_error"] < math.hypot(rep["low"].std_error, rep["high"].std_error)
+
+    @pytest.mark.parametrize(
+        "n, w, s, t", [(2, 0.5, 0, 1), (2, 1.0, 0, 1), (3, 1.0, 1, 2)], ids=["path2-w0.5", "path2-w1", "path3-s1"]
+    )
+    def test_marginal_quadrature_matches_the_full_grid(self, n, w, s, t):
+        # one dimension fewer: the statistic integrated against the law of
+        # beta_{-s} on integrate_out(g, s) is its integral over all of beta
+        g = build_grid((n,), w, boundary="wired")
+        h, ratio = _green_ratio(g, s, t)
+        keep = np.arange(n) != s
+        marginal = quadrature_oracle(h, ratio, tol=1e-7)
+        full = quadrature_oracle(g, lambda betas: ratio(betas[:, keep]), tol=1e-7)
+        assert abs(marginal - full) <= 1e-12
+
+    def test_quadrature_runs_on_the_marginal(self, monkeypatch):
+        # monotonicity_check looks the oracle up on rsolab.field at call time
+        sizes = []
+        oracle = field.quadrature_oracle
+
+        def spy(g, *args, **kwargs):
+            sizes.append(g.n_vertices)
+            return oracle(g, *args, **kwargs)
+
+        monkeypatch.setattr(field, "quadrature_oracle", spy)
+        for n in (2, 3, 4):
+            g_low, g_high = (build_grid((n,), w, boundary="wired") for w in (0.5, 1.0))
+            sizes.clear()
+            rep = monotonicity_check(g_low, g_high, 0, n - 1, MonteCarloConfig(n_samples=200, seed=n))
+            assert sizes == ([n - 1] * 2 if n <= 3 else [])
+            assert ("quad_gap" in rep) == (n <= 3)
 
     def test_domination_validated(self):
         g_low = build_grid((3,), 1.0, boundary="wired")
